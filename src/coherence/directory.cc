@@ -100,16 +100,22 @@ Directory::txnKindName(std::uint8_t kind)
     return "?";
 }
 
-void
-Directory::openTxn(Addr line_addr, Txn txn)
+Directory::Txn &
+Directory::openTxn(Addr line_addr, Txn::Kind kind, NodeId requester)
 {
     if (flightRec_ && flightRec_->enabled()) {
         flightRec_->beginTransaction(
             obs::FlightEventKind::DirTxnStart, now_, node_, line_addr,
-            static_cast<std::uint8_t>(txn.kind));
+            static_cast<std::uint8_t>(kind));
     }
-    const int idx = txns_.find(line_addr);
-    txns_.at(idx >= 0 ? idx : txns_.alloc(line_addr)) = std::move(txn);
+    const int found = txns_.find(line_addr);
+    const int idx = found >= 0 ? found : txns_.alloc(line_addr);
+    Txn &txn = txns_.at(idx);
+    if (found >= 0)
+        txn.reset();
+    txn.kind = kind;
+    txn.requester = requester;
+    return txn;
 }
 
 void
@@ -221,7 +227,7 @@ Directory::dispatch(const Message &msg)
 
 void
 Directory::grantAndComplete(Addr line_addr, NodeId dst, MsgType type,
-                            std::deque<Message> pending)
+                            std::vector<Message> pending)
 {
     Message grant{};
     grant.type = type;
@@ -238,32 +244,32 @@ Directory::grantAndComplete(Addr line_addr, NodeId dst, MsgType type,
               tag_only ? config_.ctrl_latency : config_.l2_latency);
 
     if (config_.confirmation_gating && dst != node_) {
-        Txn txn{};
-        txn.kind = Txn::Kind::GrantWait;
-        txn.requester = dst;
+        Txn &txn = openTxn(line_addr, Txn::Kind::GrantWait, dst);
         txn.grant_type = type;
-        txn.pending = std::move(pending);
-        openTxn(line_addr, std::move(txn));
+        if (!pending.empty()) {
+            txn.pending.swap(pending);
+            txns_.recycle(std::move(pending));
+        }
         return;
     }
     drainPending(line_addr, std::move(pending));
 }
 
 void
-Directory::drainPending(Addr line_addr, std::deque<Message> pending)
+Directory::drainPending(Addr line_addr, std::vector<Message> pending)
 {
-    while (!pending.empty()) {
-        Message msg = std::move(pending.front());
-        pending.pop_front();
-        processRequest(msg);
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+        processRequest(pending[i]);
         if (const int idx = txns_.find(line_addr); idx >= 0) {
             // The request re-busied the line; re-park the rest.
             Txn &txn = txns_.at(idx);
-            for (auto &rest : pending)
-                txn.pending.push_back(std::move(rest));
-            return;
+            txn.pending.insert(txn.pending.end(),
+                               pending.begin() + static_cast<long>(i) + 1,
+                               pending.end());
+            break;
         }
     }
+    txns_.recycle(std::move(pending));
 }
 
 void
@@ -277,10 +283,8 @@ Directory::processRequest(const Message &msg)
 
     if (!ln) {
         // DI: fetch the line from memory.
-        Txn txn{};
-        txn.kind = wants_write ? Txn::Kind::FetchEx : Txn::Kind::FetchSh;
-        txn.requester = req;
-        openTxn(line_addr, std::move(txn));
+        openTxn(line_addr,
+                wants_write ? Txn::Kind::FetchEx : Txn::Kind::FetchSh, req);
         Message fetch{};
         fetch.type = MsgType::MemRead;
         fetch.line = line_addr;
@@ -320,9 +324,7 @@ Directory::processRequest(const Message &msg)
                              {});
             return;
         }
-        Txn txn{};
-        txn.kind = Txn::Kind::InvForEx;
-        txn.requester = req;
+        Txn &txn = openTxn(line_addr, Txn::Kind::InvForEx, req);
         txn.upgrade = upgrade;
         txn.acks_pending = std::popcount(ln->meta.sharers);
         txn.epoch = ++epochCounter_;
@@ -343,7 +345,6 @@ Directory::processRequest(const Message &msg)
                 queueSend(n, inv, config_.ctrl_latency);
             }
         }
-        openTxn(line_addr, std::move(txn));
         return;
       }
 
@@ -358,15 +359,16 @@ Directory::processRequest(const Message &msg)
                              {});
             return;
         }
-        Txn txn{};
-        txn.requester = req;
+        Txn &txn = openTxn(line_addr,
+                           wants_write ? Txn::Kind::InvForOwn
+                                       : Txn::Kind::DwgForSh,
+                           req);
         txn.epoch = ++epochCounter_;
         Message demand{};
         demand.line = line_addr;
         demand.requester = req;
         demand.version = txn.epoch;
         if (wants_write) {
-            txn.kind = Txn::Kind::InvForOwn;
             demand.type = MsgType::Inv;
             demand.explicit_ack = true;
             stats_.invalidations_sent++;
@@ -374,7 +376,6 @@ Directory::processRequest(const Message &msg)
                              node_, {"line", line_addr}, {"owner", owner},
                              {"req", req});
         } else {
-            txn.kind = Txn::Kind::DwgForSh;
             demand.type = MsgType::Dwg;
             stats_.downgrades_sent++;
             FSOI_TRACE_POINT(TraceCat::Coherence, 2, "dwg_for_sh", now_,
@@ -382,7 +383,6 @@ Directory::processRequest(const Message &msg)
                              {"req", req});
         }
         queueSend(owner, demand, config_.ctrl_latency);
-        openTxn(line_addr, std::move(txn));
         return;
       }
 
@@ -439,14 +439,18 @@ Directory::makeRoomL2(Addr line_addr)
     if (!slot)
         return nullptr; // every way busy; caller defers
     FSOI_ASSERT(slot->valid);
-    Txn txn{};
+    const bool shared = slot->meta.state == DirState::DS;
+    FSOI_ASSERT(shared || slot->meta.state == DirState::DM);
+    Txn &txn = openTxn(slot->tag,
+                       shared ? Txn::Kind::EvictShared
+                              : Txn::Kind::EvictOwned,
+                       kInvalidNode);
     txn.epoch = ++epochCounter_;
     Message demand{};
     demand.line = slot->tag;
     demand.requester = node_;
     demand.version = txn.epoch;
-    if (slot->meta.state == DirState::DS) {
-        txn.kind = Txn::Kind::EvictShared;
+    if (shared) {
         txn.acks_pending = std::popcount(slot->meta.sharers);
         demand.type = MsgType::Inv;
         for (NodeId n = 0; n < 64; ++n) {
@@ -457,8 +461,6 @@ Directory::makeRoomL2(Addr line_addr)
             }
         }
     } else {
-        FSOI_ASSERT(slot->meta.state == DirState::DM);
-        txn.kind = Txn::Kind::EvictOwned;
         txn.acks_pending = 1;
         demand.type = MsgType::Inv;
         demand.explicit_ack = true;
@@ -468,7 +470,6 @@ Directory::makeRoomL2(Addr line_addr)
                          {"owner", slot->meta.owner});
         queueSend(slot->meta.owner, demand, config_.ctrl_latency);
     }
-    openTxn(slot->tag, std::move(txn));
     return nullptr;
 }
 
@@ -490,7 +491,7 @@ Directory::handleWriteBack(const Message &msg)
             ln->meta.owner = txn.requester;
             ln->meta.sharers = 0;
             const NodeId req = txn.requester;
-            auto pending = std::move(txn.pending);
+            auto pending = txns_.takePending(idx);
             closeTxn(idx);
             grantAndComplete(line_addr, req, MsgType::DataE,
                              std::move(pending));
@@ -503,7 +504,7 @@ Directory::handleWriteBack(const Message &msg)
             ln->meta.owner = txn.requester;
             ln->meta.sharers = 0;
             const NodeId req = txn.requester;
-            auto pending = std::move(txn.pending);
+            auto pending = txns_.takePending(idx);
             closeTxn(idx);
             grantAndComplete(line_addr, req, MsgType::DataM,
                              std::move(pending));
@@ -512,7 +513,7 @@ Directory::handleWriteBack(const Message &msg)
           case Txn::Kind::EvictOwned: {
             FSOI_ASSERT(ln);
             ln->meta.dirty = true;
-            auto pending = std::move(txn.pending);
+            auto pending = txns_.takePending(idx);
             closeTxn(idx);
             evictLine(ln);
             drainPending(line_addr, std::move(pending));
@@ -523,7 +524,7 @@ Directory::handleWriteBack(const Message &msg)
             ln->meta.dirty = true;
             ln->meta.state = DirState::DV;
             ln->meta.owner = kInvalidNode;
-            auto pending = std::move(txn.pending);
+            auto pending = txns_.takePending(idx);
             closeTxn(idx);
             drainPending(line_addr, std::move(pending));
             return;
@@ -585,7 +586,7 @@ Directory::handleInvAck(const Message &msg, bool with_data)
         ln->meta.sharers = 0;
         const NodeId req = txn.requester;
         const bool upgrade = txn.upgrade;
-        auto pending = std::move(txn.pending);
+        auto pending = txns_.takePending(idx);
         closeTxn(idx);
         grantAndComplete(line_addr, req,
                          upgrade ? MsgType::ExcAck : MsgType::DataM,
@@ -600,7 +601,7 @@ Directory::handleInvAck(const Message &msg, bool with_data)
         ln->meta.owner = txn.requester;
         ln->meta.sharers = 0;
         const NodeId req = txn.requester;
-        auto pending = std::move(txn.pending);
+        auto pending = txns_.takePending(idx);
         closeTxn(idx);
         grantAndComplete(line_addr, req, MsgType::DataM,
                          std::move(pending));
@@ -613,7 +614,7 @@ Directory::handleInvAck(const Message &msg, bool with_data)
             ln->meta.dirty = true;
         if (--txn.acks_pending > 0)
             return;
-        auto pending = std::move(txn.pending);
+        auto pending = txns_.takePending(idx);
         closeTxn(idx);
         evictLine(ln);
         drainPending(line_addr, std::move(pending));
@@ -651,7 +652,7 @@ Directory::handleDwgAck(const Message &msg, bool with_data)
     ln->meta.owner = kInvalidNode;
     ln->meta.sharers = bit(old_owner) | bit(txn.requester);
     const NodeId req = txn.requester;
-    auto pending = std::move(txn.pending);
+    auto pending = txns_.takePending(idx);
     closeTxn(idx);
     grantAndComplete(line_addr, req, MsgType::DataS, std::move(pending));
 }
@@ -683,7 +684,7 @@ Directory::handleMemReply(const Message &msg)
     const NodeId req = txn.requester;
     const MsgType grant =
         kind == Txn::Kind::FetchSh ? MsgType::DataE : MsgType::DataM;
-    auto pending = std::move(txn.pending);
+    auto pending = txns_.takePending(idx);
     closeTxn(idx);
     grantAndComplete(line_addr, req, grant, std::move(pending));
 }
@@ -751,7 +752,7 @@ Directory::onConfirm(const Message &msg)
 
     if (txn.kind == Txn::Kind::GrantWait) {
         if (msg.type == txn.grant_type) {
-            auto pending = std::move(txn.pending);
+            auto pending = txns_.takePending(idx);
             closeTxn(idx);
             drainPending(msg.line, std::move(pending));
         }
@@ -794,10 +795,10 @@ Directory::tick(Cycle now)
 
     // Retry deferred fills (ways may have freed).
     if (!deferredFills_.empty()) {
-        std::vector<Message> retry;
-        retry.swap(deferredFills_);
-        for (const auto &msg : retry)
+        fillRetry_.swap(deferredFills_);
+        for (const auto &msg : fillRetry_)
             handleMemReply(msg);
+        fillRetry_.clear();
     }
 
     for (int p = 0; p < config_.ports && !inQueue_.empty(); ++p) {

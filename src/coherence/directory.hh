@@ -23,7 +23,6 @@
 #define FSOI_COHERENCE_DIRECTORY_HH
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "common/logging.hh"
 #include "coherence/message.hh"
 #include "coherence/transport.hh"
+#include "common/fifo.hh"
 #include "common/stats.hh"
 #include "obs/stat_registry.hh"
 
@@ -221,14 +221,26 @@ class Directory
         /** Epoch stamped into demands; acks must echo it to count. */
         std::uint64_t epoch = 0;
         MsgType grant_type = MsgType::Nack; //!< for GrantWait matching
-        std::deque<Message> pending;        //!< "z" queue
+        std::vector<Message> pending;       //!< "z" queue
+
+        /** Back to a fresh Txn, keeping the pending buffer's capacity. */
+        void
+        reset()
+        {
+            std::vector<Message> keep = std::move(pending);
+            keep.clear();
+            *this = Txn{};
+            pending = std::move(keep);
+        }
     };
 
     /**
      * Outstanding-transaction table as a struct-of-arrays: line
      * addresses in one flat key array (kFreeLine sentinel = free slot)
      * parallel to the Txn payloads, free slots on a LIFO free list,
-     * growing only when every slot is taken. Lookup is a linear scan
+     * growing only when every slot is taken. Slots are reset in place,
+     * so a slot's pending buffer keeps its capacity across
+     * transactions. Lookup is a linear scan
      * of the key array -- a directory rarely holds more than a handful
      * of open transactions, so the scan stays within a cache line or
      * two and beats the hash-and-chase of the unordered_map this
@@ -276,21 +288,50 @@ class Directory
             const int idx = free_.back();
             free_.pop_back();
             lines_[static_cast<std::size_t>(idx)] = line;
-            slots_[static_cast<std::size_t>(idx)] = Txn{};
+            slots_[static_cast<std::size_t>(idx)].reset();
             ++used_;
             return idx;
         }
 
-        /** Move the entry out and return the slot to the free list. */
-        Txn
+        /**
+         * Take slot @p idx's parked requests for draining. The slot
+         * gets a spare buffer in exchange; hand the taken one back
+         * through recycle() once it is drained.
+         */
+        std::vector<Message>
+        takePending(int idx)
+        {
+            std::vector<Message> &pending =
+                slots_[static_cast<std::size_t>(idx)].pending;
+            if (pending.empty())
+                return {};
+            std::vector<Message> out = std::move(pending);
+            pending.clear();
+            if (!spare_.empty()) {
+                pending.swap(spare_.back());
+                spare_.pop_back();
+            }
+            return out;
+        }
+
+        /** Keep a drained pending buffer for a later takePending(). */
+        void
+        recycle(std::vector<Message> &&buf)
+        {
+            if (buf.capacity() == 0)
+                return;
+            buf.clear();
+            spare_.push_back(std::move(buf));
+        }
+
+        /** Reset the entry and return the slot to the free list. */
+        void
         release(int idx)
         {
-            Txn out = std::move(slots_[static_cast<std::size_t>(idx)]);
-            slots_[static_cast<std::size_t>(idx)] = Txn{};
+            slots_[static_cast<std::size_t>(idx)].reset();
             lines_[static_cast<std::size_t>(idx)] = kFreeLine;
             free_.push_back(idx);
             --used_;
-            return out;
         }
 
         void
@@ -306,6 +347,7 @@ class Directory
         std::vector<Addr> lines_;
         std::vector<Txn> slots_;
         std::vector<int> free_;
+        std::vector<std::vector<Message>> spare_;
         int used_ = 0;
     };
 
@@ -323,9 +365,11 @@ class Directory
         std::uint64_t subscribers = 0;
     };
 
-    /** Insert @p txn for @p line_addr, logging DirTxnStart. All
-     *  transaction creation funnels through here. */
-    void openTxn(Addr line_addr, Txn txn);
+    /** Start a @p kind transaction for @p line_addr on @p requester's
+     *  behalf, logging DirTxnStart; returns the fresh entry for the
+     *  caller to fill in. All transaction creation funnels through
+     *  here. */
+    Txn &openTxn(Addr line_addr, Txn::Kind kind, NodeId requester);
     /** Free transaction slot @p idx, logging DirTxnEnd. */
     void closeTxn(int idx);
 
@@ -345,10 +389,10 @@ class Directory
      * gating applies.
      */
     void grantAndComplete(Addr line_addr, NodeId dst, MsgType type,
-                          std::deque<Message> pending);
+                          std::vector<Message> pending);
 
     /** Resume queued requests after a line stabilizes. */
-    void drainPending(Addr line_addr, std::deque<Message> pending);
+    void drainPending(Addr line_addr, std::vector<Message> pending);
 
     /**
      * Find or make an L2 slot for @p line_addr. May synchronously
@@ -372,9 +416,10 @@ class Directory
     CacheArray<DirMeta> array_;
     TxnTable txns_;
     std::uint64_t epochCounter_ = 0;
-    std::deque<Message> inQueue_;
+    common::Fifo<Message> inQueue_;
     std::vector<OutMsg> outbox_;
     std::vector<Message> deferredFills_;
+    std::vector<Message> fillRetry_; //!< per-tick, deferred fills retried
     std::unordered_map<Addr, SyncVar> syncVars_;
     /** Per-core ll link (word, version) for sc validation. */
     std::unordered_map<NodeId, std::pair<Addr, std::uint64_t>> syncLinks_;

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory_resource>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -89,7 +90,11 @@ class FunctionalMemory
         return it == words_.end() ? 0 : it->second;
     }
 
-    std::unordered_map<Addr, std::uint64_t> words_;
+    /** Word nodes come from a pool that grows in ever larger chunks,
+     *  so first-touch stores rarely reach the heap. Declared before
+     *  words_, which must be destroyed first. */
+    std::pmr::unsynchronized_pool_resource wordPool_;
+    std::pmr::unordered_map<Addr, std::uint64_t> words_{&wordPool_};
     mutable std::mutex mutex_;
     bool locked_ = false;
 };

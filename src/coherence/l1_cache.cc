@@ -134,13 +134,13 @@ L1Cache::load(Addr addr, Callback cb)
     const Addr line = array_.lineAddr(addr);
 
     // Store-buffer forwarding (youngest matching entry wins).
-    for (auto it = storeBuffer_.rbegin(); it != storeBuffer_.rend(); ++it) {
-        if (it->addr == addr) {
+    for (std::size_t i = storeBuffer_.size(); i-- > 0;) {
+        if (const StoreEntry &entry = storeBuffer_[i]; entry.addr == addr) {
             stats_.loads++;
             stats_.l1_accesses++;
             stats_.load_hits++;
             scheduleDone(now_ + config_.hit_latency, std::move(cb),
-                         it->value, true);
+                         entry.value, true);
             return true;
         }
     }
@@ -310,7 +310,9 @@ L1Cache::finishMshr(Addr line, L1State granted)
 {
     const int idx = mshrs_.find(line);
     FSOI_ASSERT(idx >= 0);
-    Mshr mshr = mshrs_.release(idx);
+    // Completed in place and released at the end (nothing below looks
+    // the line up), so the slot keeps its loads buffer.
+    Mshr &mshr = mshrs_.at(idx);
     stats_.miss_latency.add(static_cast<double>(now_ - mshr.created));
     if (flightRec_ && flightRec_->enabled()) {
         flightRec_->endTransaction(
@@ -365,6 +367,7 @@ L1Cache::finishMshr(Addr line, L1State granted)
         // freshly granted copy.
         ln->meta.state = L1State::S;
     }
+    mshrs_.release(idx);
 }
 
 void
@@ -643,14 +646,14 @@ L1Cache::tick(Cycle now)
 
     // Retry deferred fills.
     if (!deferredData_.empty()) {
-        std::vector<Message> retry;
-        retry.swap(deferredData_);
-        for (const auto &msg : retry) {
+        dataRetry_.swap(deferredData_);
+        for (const auto &msg : dataRetry_) {
             const L1State granted = msg.type == MsgType::DataS
                 ? L1State::S
                 : msg.type == MsgType::DataE ? L1State::E : L1State::M;
             handleData(msg, granted);
         }
+        dataRetry_.clear();
     }
 
     // Drain the outbox into the transport.

@@ -21,7 +21,6 @@
 #ifndef FSOI_COHERENCE_L1_CACHE_HH
 #define FSOI_COHERENCE_L1_CACHE_HH
 
-#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -31,6 +30,7 @@
 #include "coherence/functional_memory.hh"
 #include "coherence/message.hh"
 #include "coherence/transport.hh"
+#include "common/fifo.hh"
 #include "common/stats.hh"
 #include "obs/stat_registry.hh"
 
@@ -201,13 +201,24 @@ class L1Cache
         Cycle retry_at = kNoCycle;  //!< NACK back-off deadline
         bool request_outstanding = false;
         Cycle created = 0;          //!< miss start (latency histogram)
+
+        /** Back to a fresh Mshr, keeping the loads buffer's capacity. */
+        void
+        reset()
+        {
+            auto keep = std::move(loads);
+            keep.clear();
+            *this = Mshr{};
+            loads = std::move(keep);
+        }
     };
 
     /**
      * Fixed-capacity MSHR table as a struct-of-arrays: the line
      * addresses live in one flat array (kFreeLine sentinel = free
      * slot) parallel to the Mshr payloads, and free slots sit on a
-     * LIFO free list. Lookup is a linear scan of the key array —
+     * LIFO free list. Slots are reset in place, so each keeps its
+     * loads buffer. Lookup is a linear scan of the key array —
      * capacity is num_mshrs (8 by default), so the whole scan touches
      * one cache line, which beats the hash-and-chase of the
      * unordered_map this replaces on the per-tick hot paths. Slot
@@ -262,21 +273,18 @@ class L1Cache
             const int idx = free_.back();
             free_.pop_back();
             lines_[static_cast<std::size_t>(idx)] = line;
-            slots_[static_cast<std::size_t>(idx)] = Mshr{};
+            slots_[static_cast<std::size_t>(idx)].reset();
             ++used_;
             return idx;
         }
 
-        /** Move the entry out and return the slot to the free list. */
-        Mshr
+        /** Return the slot to the free list. */
+        void
         release(int idx)
         {
-            Mshr out = std::move(slots_[static_cast<std::size_t>(idx)]);
-            slots_[static_cast<std::size_t>(idx)] = Mshr{};
             lines_[static_cast<std::size_t>(idx)] = kFreeLine;
             free_.push_back(idx);
             --used_;
-            return out;
         }
 
       private:
@@ -324,9 +332,10 @@ class L1Cache
 
     CacheArray<LineMeta> array_;
     MshrTable mshrs_;
-    std::deque<StoreEntry> storeBuffer_;
-    std::deque<OutMsg> outbox_;
+    common::Fifo<StoreEntry> storeBuffer_;
+    common::Fifo<OutMsg> outbox_;
     std::vector<Message> deferredData_; //!< fills waiting for a free way
+    std::vector<Message> dataRetry_;    //!< per-tick, deferred fills retried
 
     struct PendingDone
     {

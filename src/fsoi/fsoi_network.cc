@@ -1,7 +1,9 @@
 #include "fsoi/fsoi_network.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
@@ -66,6 +68,9 @@ FsoiNetwork::FsoiNetwork(const noc::MeshLayout &layout,
 
     txSlots_[0].resize(layout.numEndpoints());
     txSlots_[1].resize(layout.numEndpoints());
+    const std::size_t words = (layout.numEndpoints() + 63) / 64;
+    busyLanes_[0].assign(words, 0);
+    busyLanes_[1].assign(words, 0);
 }
 
 int
@@ -245,6 +250,37 @@ FsoiNetwork::sendBudget(NodeId src, PacketClass cls) const
         - static_cast<int>(lane(src, cls).queue.size());
 }
 
+NodeId
+FsoiNetwork::nextBusy(PacketClass cls, NodeId from) const
+{
+    const std::vector<std::uint64_t> &busy =
+        busyLanes_[static_cast<int>(cls)];
+    std::size_t w = from / 64;
+    if (w >= busy.size())
+        return kInvalidNode;
+    std::uint64_t bits = busy[w] & (~0ull << (from % 64));
+    while (bits == 0) {
+        if (++w == busy.size())
+            return kInvalidNode;
+        bits = busy[w];
+    }
+    return static_cast<NodeId>(
+        w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+}
+
+bool
+FsoiNetwork::atSlotBoundary(PacketClass cls, Cycle now)
+{
+    const Cycle slot = static_cast<Cycle>(slotCycles(cls));
+    Cycle &next = nextBoundary_[static_cast<int>(cls)];
+    if (now != next && (now > next || next - now >= slot))
+        next = alignUp(now, static_cast<int>(slot)); // cycles skipped
+    if (now != next)
+        return false;
+    next += slot;
+    return true;
+}
+
 int
 FsoiNetwork::windowSlots(int retry) const
 {
@@ -263,21 +299,27 @@ FsoiNetwork::reserveReplySlot(const Packet &request, Cycle now,
     const int rx = static_cast<int>(request.dst)
         % config_.receivers_per_lane;
     const Cycle predicted = now + config_.predicted_reply_latency;
-    std::uint64_t slot = predicted / data_slot;
-    Cycle delay = 0;
     // Shift the request until the predicted reply slot is free.
+    const int tries =
+        reserveFirstFree(request.src, rx, predicted / data_slot);
+    release_at = now + static_cast<Cycle>(std::max(tries, 0)) * data_slot;
+    return tries >= 0;
+}
+
+int
+FsoiNetwork::reserveFirstFree(NodeId dst, int rx, std::uint64_t slot)
+{
     for (int tries = 0; tries < 8; ++tries) {
-        const auto key = reservationKey(request.src, rx, slot + tries);
-        if (!reservations_.count(key)) {
-            reservations_.insert(key);
+        const auto key = reservationKey(dst, rx, slot + tries);
+        const bool taken = std::any_of(
+            reservationLog_.begin(), reservationLog_.end(),
+            [key](const ReservationEntry &re) { return re.key == key; });
+        if (!taken) {
             reservationLog_.push_back({slot + tries, key});
-            delay = static_cast<Cycle>(tries) * data_slot;
-            release_at = now + delay;
-            return true;
+            return tries;
         }
     }
-    release_at = now;
-    return false;
+    return -1;
 }
 
 bool
@@ -298,23 +340,19 @@ FsoiNetwork::send(Packet &&pkt)
         const int data_slot = slotCycles(PacketClass::Data);
         const int rx = static_cast<int>(pkt.src)
             % config_.receivers_per_lane;
-        std::uint64_t slot = alignUp(pkt.created + 1, data_slot)
-            / data_slot;
-        for (int tries = 0; tries < 8; ++tries) {
-            const auto key = reservationKey(pkt.dst, rx, slot + tries);
-            if (!reservations_.count(key)) {
-                reservations_.insert(key);
-                reservationLog_.push_back({slot + tries, key});
-                release_at = (slot + tries) * data_slot;
-                break;
-            }
-        }
+        const std::uint64_t slot =
+            alignUp(pkt.created + 1, data_slot) / data_slot;
+        if (const int tries = reserveFirstFree(pkt.dst, rx, slot);
+            tries >= 0)
+            release_at = (slot + static_cast<std::uint64_t>(tries))
+                * data_slot;
     }
     pkt.sched_delay = release_at - pkt.created;
 
     FSOI_TRACE_POINT(TraceCat::Fsoi, 2, "request", pkt.created, pkt.src,
                      {"id", pkt.id}, {"dst", pkt.dst},
                      {"kind", static_cast<std::uint64_t>(pkt.kind)});
+    markBusy(pkt.src, pkt.cls);
     lane(pkt.src, pkt.cls).queue.push_back(
         QueuedPacket{std::move(pkt), release_at});
     ++packetsInFlight_;
@@ -326,6 +364,7 @@ FsoiNetwork::sendControlBit(NodeId src, NodeId dst, std::uint64_t tag)
 {
     FSOI_ASSERT(src < static_cast<NodeId>(numEndpoints())
                 && dst < static_cast<NodeId>(numEndpoints()));
+    // now() never decreases, so controlBits_ stays sorted by due.
     controlBits_.push_back(ControlBitEvent{
         now() + config_.confirmation_delay + 1, src, dst, tag});
     activity_.control_bits++;
@@ -336,6 +375,8 @@ FsoiNetwork::sendControlBit(NodeId src, NodeId dst, std::uint64_t tag)
 void
 FsoiNetwork::processControlBits(Cycle now)
 {
+    if (controlBits_.empty() || controlBits_.front().due > now)
+        return; // ordered by due cycle: nothing is due yet
     std::size_t keep = 0;
     for (std::size_t i = 0; i < controlBits_.size(); ++i) {
         auto &evt = controlBits_[i];
@@ -354,6 +395,8 @@ FsoiNetwork::processControlBits(Cycle now)
 void
 FsoiNetwork::processConfirmations(Cycle now)
 {
+    if (confirmations_.empty() || confirmations_.front().due > now)
+        return; // ordered by due cycle: nothing is due yet
     std::size_t keep = 0;
     for (std::size_t i = 0; i < confirmations_.size(); ++i) {
         auto &evt = confirmations_[i];
@@ -407,6 +450,7 @@ FsoiNetwork::processConfirmations(Cycle now)
                          {"id", pkt.id}, {"retries",
                           static_cast<std::uint64_t>(pkt.retries)},
                          {"retry_at", retry_at});
+        markBusy(pkt.src, pkt.cls);
         lane(pkt.src, pkt.cls).retries.push_back(
             RetryEntry{std::move(pkt), retry_at});
     }
@@ -414,7 +458,7 @@ FsoiNetwork::processConfirmations(Cycle now)
 }
 
 CollisionCategory
-FsoiNetwork::classify(const std::vector<Transmission *> &colliders)
+FsoiNetwork::classify(const TxGroup &colliders)
 {
     bool any_retry = false, any_mem = false, any_wb = false;
     bool all_reply = true;
@@ -448,7 +492,19 @@ FsoiNetwork::resolveSlot(PacketClass cls, Cycle now)
         return;
 
     // Group transmissions by (destination, receiver index).
-    std::unordered_map<std::uint64_t, std::vector<Transmission *>> groups;
+    //
+    // Order contract: groups are visited in the iteration order of a
+    // std::unordered_map<std::uint64_t, ...> built by inserting the
+    // keys in transmission order. That order is observable -- it sets
+    // the delivery order, the confirmation order, and the shared RNG
+    // draws for collision hints and backoff -- so it must not be
+    // sorted or otherwise canonicalized. The pmr map below is the same
+    // hashtable (same hash, bucket policy and insertion sequence) over
+    // per-slot arena memory, so it iterates identically without heap
+    // allocation. Changing this order changes simulated results and
+    // needs the recorded references re-recorded (DESIGN.md).
+    slotMemory_.release();
+    std::pmr::unordered_map<std::uint64_t, TxGroup> groups(&slotMemory_);
     for (auto &tx : inflight) {
         const std::uint64_t key =
             (static_cast<std::uint64_t>(tx.pkt.dst) << 8)
@@ -547,8 +603,9 @@ FsoiNetwork::startSlot(PacketClass cls, Cycle now)
                                                 : config_.data_vcsels;
     slotsElapsed_[static_cast<int>(cls)]++;
 
-    for (NodeId node = 0;
-         node < static_cast<NodeId>(numEndpoints()); ++node) {
+    // Only lanes with work, in node order.
+    for (NodeId node = nextBusy(cls, 0); node != kInvalidNode;
+         node = nextBusy(cls, node + 1)) {
         TxLane &ln = lane(node, cls);
 
         // A dead VCSEL array never lights up: its packets stay queued
@@ -558,8 +615,6 @@ FsoiNetwork::startSlot(PacketClass cls, Cycle now)
 
         // Pick the packet to transmit: pending retries first (earliest
         // retry_at), then the head of the outgoing queue.
-        Packet pkt;
-        bool have = false;
         int best = -1;
         for (std::size_t i = 0; i < ln.retries.size(); ++i) {
             if (ln.retries[i].retry_at > now)
@@ -568,18 +623,19 @@ FsoiNetwork::startSlot(PacketClass cls, Cycle now)
                 || ln.retries[i].retry_at < ln.retries[best].retry_at)
                 best = static_cast<int>(i);
         }
-        if (best >= 0) {
-            pkt = std::move(ln.retries[best].pkt);
-            ln.retries.erase(ln.retries.begin() + best);
-            have = true;
-        } else if (!ln.queue.empty()
-                   && ln.queue.front().release_at <= now) {
-            pkt = std::move(ln.queue.front().pkt);
-            ln.queue.pop_front();
-            have = true;
-        }
-        if (!have)
+        const bool from_queue = best < 0 && !ln.queue.empty()
+            && ln.queue.front().release_at <= now;
+        if (best < 0 && !from_queue)
             continue;
+        Packet pkt = from_queue ? ln.queue.front().pkt
+                                : ln.retries[best].pkt;
+        if (from_queue)
+            ln.queue.pop_front();
+        else
+            ln.retries.erase(ln.retries.begin() + best);
+        if (ln.queue.empty() && ln.retries.empty())
+            busyLanes_[static_cast<int>(cls)][node / 64] &=
+                ~(1ull << (node % 64));
 
         // Phase-array steering: the beam must already point at the
         // destination, with any re-steer completed, to use this slot.
@@ -588,10 +644,12 @@ FsoiNetwork::startSlot(PacketClass cls, Cycle now)
                 ln.beam_target = pkt.dst;
                 ln.setup_ready = now + config_.phase_setup_cycles;
                 activity_.phase_setups++;
+                markBusy(node, cls);
                 ln.retries.push_back(RetryEntry{std::move(pkt), now});
                 continue;
             }
             if (ln.setup_ready > now) {
+                markBusy(node, cls);
                 ln.retries.push_back(RetryEntry{std::move(pkt), now});
                 continue;
             }
@@ -645,7 +703,7 @@ FsoiNetwork::tick(Cycle now)
     if (packetsInFlight_ == 0 && confirmations_.empty()
         && controlBits_.empty()) {
         for (PacketClass cls : {PacketClass::Meta, PacketClass::Data})
-            if (now % slotCycles(cls) == 0)
+            if (atSlotBoundary(cls, now))
                 slotsElapsed_[static_cast<int>(cls)]++;
         expireReservations(now);
         return;
@@ -655,7 +713,7 @@ FsoiNetwork::tick(Cycle now)
     processConfirmations(now);
 
     for (PacketClass cls : {PacketClass::Meta, PacketClass::Data}) {
-        if (now % slotCycles(cls) == 0) {
+        if (atSlotBoundary(cls, now)) {
             resolveSlot(cls, now);
             startSlot(cls, now);
         }
@@ -703,13 +761,13 @@ FsoiNetwork::nextEventCycle(Cycle now) const
     if (config_.phase_array)
         return now + 1;
 
+    // Both event lists are appended with due = clock + a fixed delay
+    // and compacted in order, so each is sorted by due cycle.
     Cycle next = kNoCycle;
-    for (const auto &ev : confirmations_)
-        if (ev.due < next)
-            next = ev.due;
-    for (const auto &ev : controlBits_)
-        if (ev.due < next)
-            next = ev.due;
+    if (!confirmations_.empty())
+        next = confirmations_.front().due;
+    if (!controlBits_.empty())
+        next = std::min(next, controlBits_.front().due);
 
     // Slot machinery (resolve + start) only runs on a class's slot
     // boundary; between boundaries a tick is a no-op for that class.
@@ -718,19 +776,13 @@ FsoiNetwork::nextEventCycle(Cycle now) const
     // spacing, which is allowed (early wakes are harmless).
     for (int c = 0; c < 2; ++c) {
         const Cycle slot = static_cast<Cycle>(slotCyclesCached_[c]);
-        bool work = !inflight_[c].empty();
-        if (!work) {
-            for (NodeId node = 0;
-                 node < static_cast<NodeId>(numEndpoints()) && !work;
-                 ++node) {
-                const TxLane &ln =
-                    lanes_[static_cast<std::size_t>(node) * 2
-                           + static_cast<std::size_t>(c)];
-                work = !ln.queue.empty() || !ln.retries.empty();
-            }
-        }
-        if (work) {
-            const Cycle boundary = (now / slot + 1) * slot;
+        if (!inflight_[c].empty() || anyBusy(c)) {
+            // The cached boundary is the first one after now when it
+            // lies within a slot of it.
+            const Cycle cached = nextBoundary_[c];
+            const Cycle boundary = cached > now && cached - now <= slot
+                ? cached
+                : (now / slot + 1) * slot;
             if (boundary < next)
                 next = boundary;
         }
@@ -746,13 +798,11 @@ FsoiNetwork::expireReservations(Cycle now)
 {
     if (!config_.request_spacing || reservationLog_.empty())
         return;
-    const int data_slot = slotCycles(PacketClass::Data);
-    const std::uint64_t current = now / data_slot;
+    // slot < now / data_slot, without the division.
+    const Cycle data_slot = slotCycles(PacketClass::Data);
     while (!reservationLog_.empty()
-           && reservationLog_.front().slot < current) {
-        reservations_.erase(reservationLog_.front().key);
+           && (reservationLog_.front().slot + 1) * data_slot <= now)
         reservationLog_.pop_front();
-    }
 }
 
 void
@@ -804,9 +854,6 @@ FsoiNetwork::saveState(snapshot::Writer &w) const
         w.u32(ev.dst);
         w.u64(ev.tag);
     }
-    // The reservation set is exactly the keys of the FIFO log
-    // (insert-if-absent on reserve, erase on expiry), so only the log
-    // is serialized and the set is rebuilt on restore.
     w.u64(reservationLog_.size());
     for (const ReservationEntry &re : reservationLog_) {
         w.u64(re.slot);
@@ -841,7 +888,10 @@ FsoiNetwork::loadState(snapshot::Reader &r)
     const std::uint64_t num_lanes = r.u64();
     FSOI_ASSERT(num_lanes == lanes_.size(),
                 "fsoi endpoint count mismatch on restore");
-    for (TxLane &ln : lanes_) {
+    for (auto &busy : busyLanes_)
+        std::fill(busy.begin(), busy.end(), 0);
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+        TxLane &ln = lanes_[i];
         ln.queue.clear();
         const std::uint64_t nq = r.u64();
         for (std::uint64_t i = 0; i < nq; ++i) {
@@ -857,6 +907,9 @@ FsoiNetwork::loadState(snapshot::Reader &r)
         }
         ln.beam_target = r.u32();
         ln.setup_ready = r.u64();
+        if (!ln.queue.empty() || !ln.retries.empty())
+            markBusy(static_cast<NodeId>(i / 2),
+                     static_cast<PacketClass>(i % 2));
     }
     for (auto &fl : inflight_) {
         fl.resize(r.u64());
@@ -880,13 +933,11 @@ FsoiNetwork::loadState(snapshot::Reader &r)
         ev.tag = r.u64();
     }
     reservationLog_.clear();
-    reservations_.clear();
     const std::uint64_t num_res = r.u64();
     for (std::uint64_t i = 0; i < num_res; ++i) {
         ReservationEntry re;
         re.slot = r.u64();
         re.key = r.u64();
-        reservations_.insert(re.key);
         reservationLog_.push_back(re);
     }
     loadCounter(r, slotsElapsed_[0]);
@@ -907,17 +958,9 @@ FsoiNetwork::loadState(snapshot::Reader &r)
 bool
 FsoiNetwork::idle() const
 {
-    if (packetsInFlight_ != 0)
-        return false;
-    if (!confirmations_.empty() || !controlBits_.empty())
-        return false;
-    for (const auto &ln : lanes_)
-        if (!ln.queue.empty() || !ln.retries.empty())
-            return false;
-    for (const auto &fl : inflight_)
-        if (!fl.empty())
-            return false;
-    return true;
+    return packetsInFlight_ == 0 && confirmations_.empty()
+        && controlBits_.empty() && !anyBusy(0) && !anyBusy(1)
+        && inflight_[0].empty() && inflight_[1].empty();
 }
 
 } // namespace fsoi::fsoi

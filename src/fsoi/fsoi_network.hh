@@ -37,13 +37,14 @@
 #ifndef FSOI_FSOI_NETWORK_HH
 #define FSOI_FSOI_NETWORK_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
+#include <memory_resource>
 #include <vector>
 
+#include "common/fifo.hh"
 #include "common/rng.hh"
 #include "noc/network.hh"
 #include "noc/topology.hh"
@@ -137,7 +138,9 @@ class FsoiNetwork : public noc::Network
     /**
      * Event-calendar contract: packetsInFlight_ counts every queued,
      * retrying and in-slot packet until delivery, so with the event
-     * lists empty nothing can move until a send; skipped cycles are
+     * lists empty nothing can move until a send. The answer is O(1):
+     * the event lists are ordered by due cycle (their minimum is the
+     * front) and per-class lane work is a bitmap. Skipped cycles are
      * folded into slotsElapsed_ (and reservation expiry, which is
      * monotone in now) at the next tick. A busy network only acts on
      * slot boundaries and on confirmation/control-bit due cycles, so
@@ -220,7 +223,7 @@ class FsoiNetwork : public noc::Network
 
     struct TxLane
     {
-        std::deque<QueuedPacket> queue;
+        common::Fifo<QueuedPacket> queue;
         std::vector<RetryEntry> retries;
         NodeId beam_target = kInvalidNode; //!< phase-array steering
         Cycle setup_ready = 0;             //!< re-steer completion time
@@ -231,6 +234,9 @@ class FsoiNetwork : public noc::Network
         Packet pkt;
         int rx; //!< receiver index at the destination
     };
+
+    /** Transmissions of one slot that reached one (dst, rx) receiver. */
+    using TxGroup = std::pmr::vector<Transmission *>;
 
     struct ConfirmEvent
     {
@@ -251,6 +257,27 @@ class FsoiNetwork : public noc::Network
     TxLane &lane(NodeId node, PacketClass cls);
     const TxLane &lane(NodeId node, PacketClass cls) const;
 
+    /** Flag @p node's @p cls lane as holding queued or retrying work. */
+    void
+    markBusy(NodeId node, PacketClass cls)
+    {
+        busyLanes_[static_cast<int>(cls)][node / 64] |= 1ull << (node % 64);
+    }
+
+    /** First node >= @p from whose @p cls lane is busy, or
+     *  kInvalidNode. */
+    NodeId nextBusy(PacketClass cls, NodeId from) const;
+
+    /** Does any lane of class @p c hold queued or retrying work? */
+    bool
+    anyBusy(int c) const
+    {
+        for (const std::uint64_t word : busyLanes_[c])
+            if (word != 0)
+                return true;
+        return false;
+    }
+
     /** Start transmissions for every lane whose slot begins at @p now. */
     void startSlot(PacketClass cls, Cycle now);
 
@@ -261,12 +288,26 @@ class FsoiNetwork : public noc::Network
     void processControlBits(Cycle now);
 
     /** Classify a data-lane collision event for Figure 10. */
-    static CollisionCategory classify(
-        const std::vector<Transmission *> &colliders);
+    static CollisionCategory classify(const TxGroup &colliders);
 
     /** Request-spacing slot reservation at the destination. */
     bool reserveReplySlot(const Packet &request, Cycle now,
                           Cycle &release_at);
+
+    /**
+     * Reserve the first free slot of (@p dst, @p rx) among the eight
+     * starting at @p slot; returns how many slots it skipped, or -1
+     * when all eight are taken.
+     */
+    int reserveFirstFree(NodeId dst, int rx, std::uint64_t slot);
+
+    /**
+     * Is @p now a slot boundary of class @p cls? Same answer as
+     * now % slotCycles(cls) == 0, but consecutive ticks only compare
+     * against the cached next boundary; a division happens only after
+     * skipped cycles.
+     */
+    bool atSlotBoundary(PacketClass cls, Cycle now);
 
     int windowSlots(int retry) const;
     int computeSlotCycles(PacketClass cls) const;
@@ -279,22 +320,39 @@ class FsoiNetwork : public noc::Network
     fault::FaultInjector *fault_; //!< non-owning; null = healthy system
 
     std::vector<TxLane> lanes_;                 // [endpoint][class]
+    /**
+     * Per class, one bit per endpoint: set while that lane holds
+     * queued or retrying packets. startSlot visits only these lanes,
+     * in node order, and anyBusy() answers "any work" in a word or two.
+     */
+    std::vector<std::uint64_t> busyLanes_[2];
     std::vector<Transmission> inflight_[2];     // per class, current slot
     std::vector<ConfirmEvent> confirmations_;
     std::vector<ControlBitEvent> controlBits_;
     std::vector<ConfirmHandler> confirmHandlers_;
     std::vector<ControlBitHandler> controlBitHandlers_;
 
-    /** (dst, rx, data-slot index) -> reserved, for request spacing. */
-    std::unordered_set<std::uint64_t> reservations_;
-
     struct ReservationEntry
     {
         std::uint64_t slot;
-        std::uint64_t key;
+        std::uint64_t key; //!< (dst, rx, data-slot index)
     };
-    /** FIFO of reservations for lazy expiry. */
-    std::deque<ReservationEntry> reservationLog_;
+    /**
+     * Request-spacing reservations in the order they were made, for
+     * lazy expiry. A key is reserved while it is in the log; the log
+     * holds tens of entries, so membership is a scan.
+     */
+    common::Fifo<ReservationEntry> reservationLog_;
+
+    /**
+     * Scratch memory for resolveSlot's per-slot grouping, released at
+     * the start of every resolve. The arena covers a 64-node slot, so
+     * the upstream heap is touched only by bigger systems.
+     */
+    static constexpr std::size_t kSlotArenaBytes = 8192;
+    std::array<std::byte, kSlotArenaBytes> slotArena_;
+    std::pmr::monotonic_buffer_resource slotMemory_{
+        slotArena_.data(), slotArena_.size()};
 
     Counter slotsElapsed_[2];
     /** Per-class, per-node transmit-slot counts (channel heatmap). */
@@ -304,6 +362,8 @@ class FsoiNetwork : public noc::Network
     Accumulator dataResolution_;
     std::uint64_t packetsInFlight_ = 0;
     int slotCyclesCached_[2] = {1, 1}; //!< per class, fixed at build
+    /** Per class: a slot boundary, the next one after the last tick. */
+    Cycle nextBoundary_[2] = {0, 0};
 };
 
 } // namespace fsoi::fsoi

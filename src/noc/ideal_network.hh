@@ -12,10 +12,10 @@
 #ifndef FSOI_NOC_IDEAL_NETWORK_HH
 #define FSOI_NOC_IDEAL_NETWORK_HH
 
-#include <deque>
 #include <queue>
 #include <vector>
 
+#include "common/fifo.hh"
 #include "noc/network.hh"
 #include "noc/topology.hh"
 
@@ -64,7 +64,7 @@ class IdealNetwork : public Network
   private:
     struct Lane
     {
-        std::deque<Packet> queue;
+        common::Fifo<Packet> queue;
         Cycle free_at = 0;
     };
 

@@ -23,11 +23,11 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <ostream>
 #include <vector>
 
+#include "common/fifo.hh"
 #include "common/pool.hh"
 #include "noc/network.hh"
 #include "noc/topology.hh"
@@ -156,7 +156,7 @@ class MeshNetwork : public Network
 
     struct InjectLane
     {
-        std::deque<Packet> queue;
+        common::Fifo<Packet> queue;
     };
 
     /** Per-endpoint injection state: streams one flit per cycle. */

@@ -1,5 +1,7 @@
 #include "obs/profiler.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "obs/stat_registry.hh"
 
@@ -22,11 +24,42 @@ tickPhaseName(TickPhase phase)
     return "?";
 }
 
-PhaseProfiler::PhaseProfiler(Cycle stride)
-    : stride_(stride)
+namespace {
+
+/**
+ * Cost of one steady_clock read: the fastest of a few short batches,
+ * so a preemption during calibration does not inflate it. About a
+ * hundred reads, measured once per process.
+ */
+std::int64_t
+calibrateClockRead()
 {
-    FSOI_ASSERT((stride & (stride - 1)) == 0,
-                "profile stride must be a power of two (or 0 = off)");
+    using Clock = std::chrono::steady_clock;
+    constexpr int kBatches = 4;
+    constexpr int kReads = 25;
+    std::int64_t best = -1;
+    for (int b = 0; b < kBatches; ++b) {
+        const auto start = Clock::now();
+        for (int i = 0; i < kReads - 1; ++i)
+            (void)Clock::now();
+        const auto end = Clock::now();
+        const std::int64_t per =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                end - start).count() / kReads;
+        best = best < 0 ? per : std::min(best, per);
+    }
+    return best;
+}
+
+} // namespace
+
+PhaseProfiler::PhaseProfiler(Cycle stride)
+    : stride_(stride), countdown_(stride)
+{
+    if (enabled()) {
+        static const std::int64_t read_ns = calibrateClockRead();
+        clockReadNs_ = read_ns;
+    }
 }
 
 std::uint64_t

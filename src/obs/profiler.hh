@@ -6,13 +6,19 @@
  * profiler.
  *
  * Timing every cycle would double the cost of the cheap phases, so the
- * profiler samples: every `stride` cycles (a power of two; the check
- * is one mask-and-compare) the loop brackets each phase with a
- * steady_clock read and the elapsed nanoseconds accumulate per phase.
- * With the default stride of 64 the overhead is a few clock reads per
- * 64 cycles — well under a percent — while the per-phase *fractions*
- * converge quickly because the sampled cycles are an unbiased slice of
- * the run.
+ * profiler samples: on every `stride`-th *executed* cycle (counted,
+ * so cycles the event calendar skips do not shift the choice) the
+ * loop brackets each phase with a steady_clock read and the elapsed
+ * nanoseconds accumulate per phase. An odd stride keeps the samples
+ * from aliasing with the run loop's power-of-two check cadences (the
+ * 32-cycle completion check, the 16384-cycle progress check), so the
+ * sampled cycles are an unbiased slice of the executed ones and the
+ * per-phase *fractions* converge quickly.
+ *
+ * A clock read is not free (tens of ns on some hosts, comparable to a
+ * cheap phase), and each phase interval contains one. The profiler
+ * measures the cost of a read once per process and subtracts it from
+ * every interval, so its own overhead is not charged to the phases.
  *
  * Results are exposed through the StatRegistry under a "host." prefix:
  * host wall time is nondeterministic by nature, so consumers that
@@ -67,17 +73,23 @@ const char *tickPhaseName(TickPhase phase);
 class PhaseProfiler
 {
   public:
-    /** @p stride sampling period in cycles; power of two; 0 disables. */
+    /** @p stride sampling period in executed cycles; 0 disables. */
     explicit PhaseProfiler(Cycle stride);
 
     bool enabled() const { return stride_ != 0; }
     Cycle stride() const { return stride_; }
 
-    /** Is @p now a sampled cycle? One mask-and-compare when enabled. */
+    /**
+     * Count one executed cycle; true when it is to be sampled (every
+     * stride-th one). One decrement and compare when enabled.
+     */
     bool
-    due(Cycle now) const
+    due()
     {
-        return stride_ != 0 && (now & (stride_ - 1)) == 0;
+        if (stride_ == 0 || --countdown_ != 0)
+            return false;
+        countdown_ = stride_;
+        return true;
     }
 
     /** Open a sampled cycle: stamp the clock before the first phase. */
@@ -97,11 +109,17 @@ class PhaseProfiler
     endPhase(TickPhase phase)
     {
         const auto now = std::chrono::steady_clock::now();
-        ns_[static_cast<int>(phase)] +=
+        const std::int64_t elapsed =
             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                now - mark_).count();
+                now - mark_).count() - clockReadNs_;
+        if (elapsed > 0)
+            ns_[static_cast<int>(phase)] +=
+                static_cast<std::uint64_t>(elapsed);
         mark_ = now;
     }
+
+    /** Calibrated cost of one steady_clock read, in ns. */
+    std::int64_t clockReadNs() const { return clockReadNs_; }
 
     std::uint64_t sampledCycles() const { return sampled_cycles_; }
     std::uint64_t ns(TickPhase phase) const
@@ -120,6 +138,8 @@ class PhaseProfiler
 
   private:
     Cycle stride_;
+    Cycle countdown_; //!< executed cycles until the next sample
+    std::int64_t clockReadNs_ = 0;
     std::uint64_t sampled_cycles_ = 0;
     std::uint64_t ns_[kNumTickPhases] = {};
     std::chrono::steady_clock::time_point mark_{};

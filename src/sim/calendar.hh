@@ -60,7 +60,10 @@ class EventCalendar
         std::uint32_t index;
     };
 
-    EventCalendar() : slots_(kSlots), occupancy_(kSlots / 64, 0) {}
+    EventCalendar()
+        : head_(kSlots, kNil), tail_(kSlots, kNil),
+          occupancy_(kSlots / 64, 0)
+    {}
 
     bool empty() const { return count_ == 0; }
     std::uint64_t size() const { return count_; }
@@ -69,8 +72,10 @@ class EventCalendar
     void
     reset(Cycle base)
     {
-        for (auto &slot : slots_)
-            slot.clear();
+        std::fill(head_.begin(), head_.end(), kNil);
+        std::fill(tail_.begin(), tail_.end(), kNil);
+        nodes_.clear();
+        freeNode_ = kNil;
         std::fill(occupancy_.begin(), occupancy_.end(), 0);
         overflow_.clear();
         overflowMin_ = kNoCycle;
@@ -88,9 +93,7 @@ class EventCalendar
         FSOI_ASSERT(when >= base_, "calendar schedule in the past");
         ++count_;
         if (when < base_ + kSlots) {
-            const std::uint64_t s = when & kMask;
-            slots_[s].push_back(Entry{when, kind, index});
-            occupancy_[s >> 6] |= 1ull << (s & 63);
+            pushSlot(Entry{when, kind, index});
             return;
         }
         overflow_.push_back(Entry{when, kind, index});
@@ -129,11 +132,18 @@ class EventCalendar
                                            & kMask);
                 if (cyc >= due_end)
                     break;
-                for (const Entry &e : slots_[slot])
-                    fn(e.kind, e.index);
-                count_ -= slots_[slot].size();
-                slots_[slot].clear();
+                // Detach the slot's list, then deliver and free it.
+                std::uint32_t n = head_[slot];
+                head_[slot] = tail_[slot] = kNil;
                 occupancy_[slot >> 6] &= ~(1ull << (slot & 63));
+                while (n != kNil) {
+                    const Node node = nodes_[n];
+                    nodes_[n].next = freeNode_;
+                    freeNode_ = n;
+                    --count_;
+                    fn(node.entry.kind, node.entry.index);
+                    n = node.next;
+                }
                 c = cyc + 1;
             }
             // Defensive: the epoch is the min over all wake sources,
@@ -191,6 +201,40 @@ class EventCalendar
     }
 
   private:
+    static constexpr std::uint32_t kNil = ~std::uint32_t(0);
+
+    /** Wheel entry, linked into its slot's FIFO list. */
+    struct Node
+    {
+        Entry entry;
+        std::uint32_t next;
+    };
+
+    /**
+     * Append @p e to its slot's list. Nodes are recycled through a
+     * free list and the node array only grows, so scheduling stops
+     * allocating once the calendar has held its high-water count.
+     */
+    void
+    pushSlot(const Entry &e)
+    {
+        std::uint32_t n = freeNode_;
+        if (n != kNil) {
+            freeNode_ = nodes_[n].next;
+            nodes_[n] = Node{e, kNil};
+        } else {
+            n = static_cast<std::uint32_t>(nodes_.size());
+            nodes_.push_back(Node{e, kNil});
+        }
+        const std::uint64_t s = e.when & kMask;
+        if (head_[s] == kNil)
+            head_[s] = n;
+        else
+            nodes_[tail_[s]].next = n;
+        tail_[s] = n;
+        occupancy_[s >> 6] |= 1ull << (s & 63);
+    }
+
     /** Move spilled entries that now fit into the wheel window. */
     void
     refillOverflow()
@@ -202,9 +246,7 @@ class EventCalendar
         for (std::size_t i = 0; i < overflow_.size(); ++i) {
             Entry &e = overflow_[i];
             if (e.when < base_ + kSlots) {
-                const std::uint64_t s = e.when & kMask;
-                slots_[s].push_back(e);
-                occupancy_[s >> 6] |= 1ull << (s & 63);
+                pushSlot(e);
                 continue;
             }
             if (e.when < overflowMin_)
@@ -214,7 +256,10 @@ class EventCalendar
         overflow_.resize(keep);
     }
 
-    std::vector<std::vector<Entry>> slots_;
+    std::vector<std::uint32_t> head_; //!< per slot: first node or kNil
+    std::vector<std::uint32_t> tail_; //!< per slot: last node or kNil
+    std::vector<Node> nodes_;
+    std::uint32_t freeNode_ = kNil;
     std::vector<std::uint64_t> occupancy_;
     std::vector<Entry> overflow_;
     Cycle overflowMin_ = kNoCycle;

@@ -1013,7 +1013,7 @@ System::runSerial(obs::Watchdog &watchdog)
         // Self-profiling brackets each phase with a clock read on
         // sampled cycles only; `prof` is hoisted so unsampled cycles
         // pay a single branch per phase.
-        const bool prof = profiler_.due(now_);
+        const bool prof = profiler_.due();
         if (prof)
             profiler_.beginCycle();
 
@@ -1085,7 +1085,7 @@ System::runParallel(obs::Watchdog &watchdog)
             saveCheckpoint(checkpointPath_);
         }
 
-        const bool prof = profiler_.due(now_);
+        const bool prof = profiler_.due();
         if (prof)
             profiler_.beginCycle();
 

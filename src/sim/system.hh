@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "coherence/functional_memory.hh"
 #include "coherence/l1_cache.hh"
 #include "coherence/transport.hh"
+#include "common/fifo.hh"
 #include "common/pool.hh"
 #include "cpu/core.hh"
 #include "fault/fault_model.hh"
@@ -118,14 +118,15 @@ struct SystemConfig
     /**
      * Observability knobs. The flight recorder keeps the most recent
      * protocol events for post-mortem dumps (0 = off); the profiler
-     * samples host wall time per tick phase every profile_stride
-     * cycles (power of two, 0 = off; 256 keeps the clock reads under
-     * half a percent of run time even where clock_gettime is a
-     * syscall). Neither touches simulation state, so results are
-     * bit-identical at any setting.
+     * samples host wall time per tick phase on every profile_stride-th
+     * executed cycle (0 = off; 255 keeps the clock reads under half a
+     * percent of run time even where clock_gettime is a syscall, and
+     * an odd stride never aliases with the run loop's power-of-two
+     * check cadences). Neither touches simulation state, so results
+     * are bit-identical at any setting.
      */
     std::size_t flight_recorder_events = 1024;
-    Cycle profile_stride = 256;
+    Cycle profile_stride = 255;
 
     /** Paper defaults for a given scale (16 or 64 cores). */
     static SystemConfig paperConfig(int cores, NetKind kind);
@@ -354,7 +355,7 @@ class System
          *  tickShard (min over wake bits, local queue, calendar). */
         Cycle nextEvent = 0;
         std::uint64_t eventsDispatched = 0; //!< host.sched telemetry
-        std::deque<LocalMsg> localQueue;
+        common::Fifo<LocalMsg> localQueue;
         std::array<std::vector<StagedSend>, kNumSendBuckets> staged;
         std::vector<StagedBit> stagedBits;
         int bucket = 0; //!< send bucket for the phase now ticking

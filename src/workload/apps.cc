@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <vector>
 
+#include "common/fifo.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "snapshot/state_io.hh"
@@ -388,7 +388,7 @@ class SyntheticStream : public InstrStream
     std::uint64_t nextLockAt_ = 50;
     std::uint64_t barSeq_ = 0;
     bool finished_ = false;
-    std::deque<Instr> queue_;
+    common::Fifo<Instr> queue_;
 };
 
 AppProfile

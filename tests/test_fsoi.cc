@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "fsoi/fsoi_network.hh"
@@ -145,6 +147,64 @@ TEST(Fsoi, CollisionDetectedAndResolved)
     EXPECT_EQ(retried, 2);
     // Collision-resolution latency is visible in the breakdown.
     EXPECT_GT(net.stats().collisionResolution().max(), 0.0);
+}
+
+/**
+ * Slot-resolution order contract (see FsoiNetwork::resolveSlot): the
+ * (dst, rx) groups of one slot are visited in the iteration order of a
+ * plain std::unordered_map<std::uint64_t, ...> filled in transmission
+ * order, and that order is what deliveries and confirmations follow.
+ * 21 groups push the map well past its first 13 buckets, so the order
+ * is neither insertion nor key order.
+ */
+TEST(Fsoi, SlotResolutionFollowsUnorderedMapOrder)
+{
+    MeshLayout layout(64, 8);
+    FsoiNetwork net(layout, baseConfig());
+    Harness harness(net);
+
+    // Senders 0..17 and 23 each own a (dst, rx) group; 18, 20, 22
+    // collide at (30, rx 0) and 19, 21 at (31, rx 1).
+    auto dstOf = [](NodeId s) -> NodeId {
+        if (s < 18)
+            return 40 + s;
+        if (s == 23)
+            return 32;
+        return s % 2 ? 31 : 30;
+    };
+    net.tick(0);
+    std::unordered_map<std::uint64_t, std::vector<NodeId>> reference;
+    for (NodeId s = 0; s < 24; ++s) {
+        ASSERT_TRUE(net.send(makePacket(s, dstOf(s), noc::PacketClass::Data,
+                                        noc::PacketKind::Reply)));
+        const int rx = static_cast<int>(s) % 2; // receivers_per_lane = 2
+        reference[(static_cast<std::uint64_t>(dstOf(s)) << 8)
+                  | static_cast<unsigned>(rx)]
+            .push_back(s);
+    }
+    ASSERT_GT(reference.bucket_count(), 13u);
+    std::vector<NodeId> expected;
+    for (const auto &[key, senders] : reference) {
+        if (senders.size() == 1)
+            expected.push_back(senders[0]);
+    }
+    ASSERT_EQ(expected.size(), 19u);
+    std::vector<NodeId> sorted = expected;
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_NE(expected, sorted) << "keys must exercise hash order";
+
+    harness.now = 1;
+    harness.runUntilIdle();
+    std::vector<NodeId> delivered, confirmed;
+    for (const auto &pkt : harness.delivered)
+        if (pkt.retries == 0)
+            delivered.push_back(pkt.src);
+    for (const auto &pkt : harness.confirmed)
+        if (pkt.retries == 0)
+            confirmed.push_back(pkt.src);
+    EXPECT_EQ(delivered, expected);
+    EXPECT_EQ(confirmed, expected);
+    EXPECT_EQ(harness.delivered.size(), 24u);
 }
 
 TEST(Fsoi, ReceiverPartitionAvoidsOddEvenCollision)

@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests for the observability layer: stat registry naming and
- * writers, interval sampler record layout, and the tracer ring buffer.
+ * writers, interval sampler record layout, the tracer ring buffer, and
+ * the phase profiler's sampling and clock-cost calibration.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
+#include <vector>
 
+#include "obs/profiler.hh"
 #include "obs/sampler.hh"
 #include "obs/stat_registry.hh"
 #include "obs/tracer.hh"
@@ -251,6 +255,41 @@ TEST(Tracer, ChromeTraceDocumentIsWellFormed)
     EXPECT_NE(doc.find("\"dur\":5"), std::string::npos);
     EXPECT_NE(doc.find("\"cat\":\"mem\""), std::string::npos);
     tr.reset();
+}
+
+TEST(PhaseProfiler, SamplesEveryStrideThExecutedCycle)
+{
+    PhaseProfiler prof(3);
+    std::vector<int> sampled;
+    for (int i = 1; i <= 10; ++i)
+        if (prof.due())
+            sampled.push_back(i);
+    EXPECT_EQ(sampled, (std::vector<int>{3, 6, 9}));
+
+    PhaseProfiler off(0);
+    for (int i = 0; i < 10; ++i)
+        EXPECT_FALSE(off.due());
+}
+
+TEST(PhaseProfiler, ClockReadCostIsCalibratedAndNotCharged)
+{
+    PhaseProfiler prof(1);
+    EXPECT_GE(prof.clockReadNs(), 0);
+    EXPECT_EQ(PhaseProfiler(0).clockReadNs(), 0);
+    // Back-to-back phase ends measure little but the clock reads
+    // themselves; with one read subtracted per interval, the charged
+    // time falls short of the wall time the loop took.
+    const auto t0 = std::chrono::steady_clock::now();
+    prof.beginCycle();
+    for (int i = 0; i < 1000; ++i)
+        prof.endPhase(TickPhase::Sched);
+    const auto wall = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0).count());
+    if (prof.clockReadNs() > 0)
+        EXPECT_LT(prof.ns(TickPhase::Sched), wall);
+    else
+        EXPECT_LE(prof.ns(TickPhase::Sched), wall);
 }
 
 } // namespace

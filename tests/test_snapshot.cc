@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fsoi/fsoi_network.hh"
 #include "sim/campaign.hh"
 #include "sim/sweep_runner.hh"
 #include "snapshot/archive.hh"
@@ -105,6 +106,91 @@ expectIdentical(const sim::RunResult &a, const sim::RunResult &b)
     EXPECT_EQ(a.blacklisted_channels, b.blacklisted_channels);
     EXPECT_EQ(a.unroutable_drops, b.unroutable_drops);
     EXPECT_EQ(a.fault_diagnosis, b.fault_diagnosis);
+}
+
+/** Record what a standalone FSOI network delivers and confirms. */
+void
+wireRecorder(fsoi::FsoiNetwork &net, std::vector<std::uint64_t> &log)
+{
+    for (NodeId n = 0; n < static_cast<NodeId>(net.numEndpoints()); ++n) {
+        net.setHandler(n, [&log](noc::Packet &pkt) {
+            log.push_back(pkt.id << 20 | pkt.delivered);
+        });
+        net.setConfirmHandler(n, [&log](const noc::Packet &pkt) {
+            log.push_back(~pkt.id);
+        });
+        net.setControlBitHandler(n, [](NodeId, std::uint64_t) {});
+    }
+}
+
+/**
+ * An FSOI checkpoint taken mid-collision -- with queued, retrying and
+ * in-slot packets -- restores the lane-work counters behind
+ * nextEventCycle() and idle(): both agree with the uninterrupted
+ * network before the save, after the restore and on every later
+ * cycle, and the restored network delivers the same packets at the
+ * same cycles.
+ */
+TEST(Snapshot, FsoiMidCollisionRestoreKeepsWakeAndIdle)
+{
+    const noc::MeshLayout layout(16, 4);
+    fsoi::FsoiConfig cfg;
+    cfg.seed = 11;
+    cfg.request_spacing = true;
+    cfg.collision_hints = true;
+    fsoi::FsoiNetwork orig(layout, cfg);
+    std::vector<std::uint64_t> origLog;
+    wireRecorder(orig, origLog);
+
+    // Even cores share destination 16's receiver 0 and odd cores its
+    // receiver 1, three packets each: the first data slot collides
+    // and the rest wait in the lanes.
+    orig.tick(0);
+    for (int k = 0; k < 3; ++k) {
+        for (NodeId s = 0; s < 16; ++s) {
+            ASSERT_TRUE(orig.send(noc::makePacket(
+                s, 16, noc::PacketClass::Data, noc::PacketKind::Reply)));
+        }
+    }
+    // Cycle 13: the slot that started at 10 is in flight, the first
+    // slot's colliders are backing off, and later packets are queued.
+    const Cycle at = 13;
+    for (Cycle c = 1; c <= at; ++c)
+        orig.tick(c);
+    std::ostringstream lanes;
+    orig.writeLaneStateJson(lanes);
+    ASSERT_NE(lanes.str().find("\"oldest_retry\""), std::string::npos)
+        << lanes.str();
+    ASSERT_NE(lanes.str().find("\"queued\":1"), std::string::npos)
+        << lanes.str();
+    ASSERT_GT(orig.stats().collisions(noc::PacketClass::Data), 0u);
+    ASSERT_FALSE(orig.idle());
+
+    snapshot::Writer w;
+    orig.saveState(w);
+    fsoi::FsoiNetwork restored(layout, cfg);
+    std::vector<std::uint64_t> restoredLog;
+    wireRecorder(restored, restoredLog);
+    snapshot::Reader r(w.bytes().data(), w.size(), "fsoi");
+    restored.loadState(r);
+    origLog.clear();
+
+    EXPECT_EQ(restored.nextEventCycle(at), orig.nextEventCycle(at));
+    EXPECT_EQ(restored.idle(), orig.idle());
+    for (Cycle c = at + 1; c < at + 5000 && !orig.idle(); ++c) {
+        orig.tick(c);
+        restored.tick(c);
+        ASSERT_EQ(restored.nextEventCycle(c), orig.nextEventCycle(c))
+            << "cycle " << c;
+        ASSERT_EQ(restored.idle(), orig.idle()) << "cycle " << c;
+    }
+    EXPECT_TRUE(orig.idle());
+    EXPECT_TRUE(restored.idle());
+    EXPECT_EQ(restoredLog, origLog);
+    snapshot::Writer wa, wb;
+    orig.saveState(wa);
+    restored.saveState(wb);
+    EXPECT_EQ(wa.bytes(), wb.bytes());
 }
 
 TEST(Snapshot, RestoredRunBitIdenticalAcrossThreads)

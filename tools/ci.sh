@@ -122,6 +122,9 @@ echo "== sanitizer leg (ASan + UBSan) =="
 # The fault-injection paths get their deepest coverage here: the fault
 # tests drive dead channels, route-around tables, and retransmission
 # queues, exactly the pointer-heavy code a latent lifetime bug hides in.
+# test_alloc (the allocation regression test) is not built here: it
+# replaces the global operator new, which would shadow the sanitizer's
+# allocator. It runs in the Release ctest leg above.
 sanbuild="$build-asan"
 cmake -B "$sanbuild" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFSOI_SANITIZE=ON
