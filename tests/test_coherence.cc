@@ -8,11 +8,25 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "sim/system.hh"
 
 namespace fsoi {
+namespace sim {
+
+// Print a network kind by name, so parameterized test names (which
+// ctest builds from the printed parameter) are readable and stable.
+void
+PrintTo(NetKind kind, std::ostream *os)
+{
+    *os << netKindName(kind);
+}
+
+} // namespace sim
+
 namespace {
 
 using coherence::DirState;
@@ -283,13 +297,13 @@ checkInvariants(sim::System &sys, sim::NetKind kind)
 
 class CoherenceInvariants
     : public ::testing::TestWithParam<std::tuple<sim::NetKind,
-                                                 const char *>>
+                                                 std::string>>
 {};
 
 TEST_P(CoherenceInvariants, HoldAtQuiescence)
 {
     const auto kind = std::get<0>(GetParam());
-    const std::string app = std::get<1>(GetParam());
+    const std::string &app = std::get<1>(GetParam());
     auto cfg = smallConfig(kind);
     sim::System sys(cfg);
     sys.loadApp(workload::appByName(app).scaled(0.05));
@@ -303,7 +317,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(sim::NetKind::Mesh,
                                          sim::NetKind::Fsoi,
                                          sim::NetKind::L0),
-                       ::testing::Values("barnes", "mp3d", "fft")));
+                       // std::string, not const char *: a pointer
+                       // parameter prints its address, which differs
+                       // from run to run and so renames the test.
+                       ::testing::Values(std::string("barnes"),
+                                         std::string("mp3d"),
+                                         std::string("fft"))));
 
 } // namespace
 } // namespace fsoi
