@@ -823,7 +823,11 @@ Directory::saveState(snapshot::Writer &w) const
 {
     using namespace snapshot;
 
+    // The line array (31 bytes per line, below) is almost all of the
+    // section: size it up front, with room for the usually small
+    // transaction, queue and sync state that follows.
     const auto &lines = array_.rawLines();
+    w.reserve(31 * lines.size() + 512);
     w.u64(lines.size());
     for (const auto &line : lines) {
         w.u64(line.tag);

@@ -99,6 +99,7 @@ System::saveSnapshot(snapshot::SnapshotWriter &snap) const
 
     snapshot::Writer &mem = snap.section("memory");
     const auto words = funcMem_.exportWords();
+    mem.reserve(8 + 16 * words.size());
     mem.u64(words.size());
     for (const auto &[addr, value] : words) {
         mem.u64(addr);

@@ -3,14 +3,18 @@
  * Checkpoint/restore guarantees: a restored run is bit-identical to
  * the uninterrupted run at any tick-engine thread count (including
  * faulted configs), snapshot files are byte-identical regardless of
- * the thread count that wrote them, corrupted or truncated snapshots
- * are rejected with a named-section diagnosis, and the campaign layer
- * resumes crashed sweeps without changing a single output byte.
+ * the thread count that wrote them, corrupted, truncated or forged
+ * snapshots are rejected with a named-section diagnosis, the container
+ * bytes (little-endian scalars, lockstep-hashed sections) match a
+ * hand-assembled scalar reference, and the campaign layer resumes
+ * crashed sweeps without changing a single output byte.
  */
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -50,6 +54,12 @@ readBytes(const std::string &path)
     EXPECT_TRUE(in.good()) << path;
     return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
                                      std::istreambuf_iterator<char>());
+}
+
+std::vector<std::uint8_t>
+bytesOf(const snapshot::Writer &w)
+{
+    return std::vector<std::uint8_t>(w.data(), w.data() + w.size());
 }
 
 /** Checkpoint @p job at @p at cycles (run a horizon-limited copy). */
@@ -171,7 +181,7 @@ TEST(Snapshot, FsoiMidCollisionRestoreKeepsWakeAndIdle)
     fsoi::FsoiNetwork restored(layout, cfg);
     std::vector<std::uint64_t> restoredLog;
     wireRecorder(restored, restoredLog);
-    snapshot::Reader r(w.bytes().data(), w.size(), "fsoi");
+    snapshot::Reader r(w.data(), w.size(), "fsoi");
     restored.loadState(r);
     origLog.clear();
 
@@ -190,7 +200,7 @@ TEST(Snapshot, FsoiMidCollisionRestoreKeepsWakeAndIdle)
     snapshot::Writer wa, wb;
     orig.saveState(wa);
     restored.saveState(wb);
-    EXPECT_EQ(wa.bytes(), wb.bytes());
+    EXPECT_EQ(bytesOf(wa), bytesOf(wb));
 }
 
 TEST(Snapshot, RestoredRunBitIdenticalAcrossThreads)
@@ -365,6 +375,291 @@ TEST(Snapshot, ConfigMismatchRejected)
             << e.what();
     }
     std::filesystem::remove(path);
+}
+
+// --- container encoding and integrity --------------------------------
+
+/** The diagnosis parsing @p bytes throws, or "" when they parse. */
+std::string
+parseError(std::vector<std::uint8_t> bytes)
+{
+    try {
+        snapshot::SnapshotReader snap(std::move(bytes));
+    } catch (const snapshot::SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+void
+storeLe64(std::vector<std::uint8_t> &bytes, std::size_t at, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+TEST(Snapshot, WriterEncodesLittleEndian)
+{
+    snapshot::Writer w;
+    w.u8(0xa5);
+    w.u16(0x1234);
+    w.u32(0x89abcdefu);
+    w.u64(0x0123456789abcdefULL);
+    w.i32(-2);
+    w.i64(-3);
+    w.dbl(1.5); // IEEE-754 0x3ff8000000000000
+    w.str("hi");
+    w.boolean(true);
+    w.boolean(false);
+    const std::vector<std::uint8_t> expected = {
+        0xa5,                                           // u8
+        0x34, 0x12,                                     // u16
+        0xef, 0xcd, 0xab, 0x89,                         // u32
+        0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, // u64
+        0xfe, 0xff, 0xff, 0xff,                         // i32
+        0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // i64
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, // dbl
+        0x02, 0x00, 0x00, 0x00, 'h', 'i',               // str
+        0x01, 0x00,                                     // booleans
+    };
+    EXPECT_EQ(bytesOf(w), expected);
+
+    snapshot::Reader r(w.data(), w.size(), "enc");
+    EXPECT_EQ(r.u8(), 0xa5);
+    EXPECT_EQ(r.u16(), 0x1234);
+    EXPECT_EQ(r.u32(), 0x89abcdefu);
+    EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
+    EXPECT_EQ(r.i32(), -2);
+    EXPECT_EQ(r.i64(), -3);
+    EXPECT_EQ(r.dbl(), 1.5);
+    EXPECT_EQ(r.str(), "hi");
+    EXPECT_TRUE(r.boolean());
+    EXPECT_FALSE(r.boolean());
+    EXPECT_EQ(r.remaining(), 0u);
+
+    // One byte short at every width is an underrun naming the section.
+    struct Width
+    {
+        const char *name;
+        std::size_t bytes;
+        std::function<void(snapshot::Reader &)> read;
+    };
+    const std::vector<Width> widths = {
+        {"u8", 1, [](snapshot::Reader &in) { in.u8(); }},
+        {"boolean", 1, [](snapshot::Reader &in) { in.boolean(); }},
+        {"u16", 2, [](snapshot::Reader &in) { in.u16(); }},
+        {"u32", 4, [](snapshot::Reader &in) { in.u32(); }},
+        {"u64", 8, [](snapshot::Reader &in) { in.u64(); }},
+        {"i32", 4, [](snapshot::Reader &in) { in.i32(); }},
+        {"i64", 8, [](snapshot::Reader &in) { in.i64(); }},
+        {"dbl", 8, [](snapshot::Reader &in) { in.dbl(); }},
+        {"str", 6, [](snapshot::Reader &in) { in.str(); }},
+        {"raw", 5,
+         [](snapshot::Reader &in) {
+             std::uint8_t out[5];
+             in.raw(out, sizeof(out));
+         }},
+    };
+    // A "str" of two bytes: its 4-byte length prefix, then the body.
+    const std::uint8_t src[8] = {0x02, 0, 0, 0, 'h', 'i', 0, 0};
+    for (const Width &width : widths) {
+        for (std::size_t have = 0; have < width.bytes; ++have) {
+            const std::string section = std::string("short.") + width.name;
+            snapshot::Reader in(src, have, section);
+            try {
+                width.read(in);
+                FAIL() << width.name << " read " << have << " bytes";
+            } catch (const snapshot::SnapshotError &e) {
+                EXPECT_EQ(std::string(e.what()),
+                          "snapshot.underrun: " + section);
+            }
+        }
+    }
+    // A string length near 2^32 must not wrap the bounds check.
+    const std::uint8_t huge[6] = {0xff, 0xff, 0xff, 0xff, 'h', 'i'};
+    snapshot::Reader in(huge, sizeof(huge), "huge");
+    EXPECT_THROW(in.str(), snapshot::SnapshotError);
+}
+
+TEST(Snapshot, LockstepHashEqualsScalarFnv1a)
+{
+    std::mt19937_64 rng(0x5eedf00d);
+    std::vector<std::uint8_t> pool(1 << 17);
+    for (auto &b : pool)
+        b = static_cast<std::uint8_t>(rng());
+    for (std::size_t n = 0; n <= 9; ++n) {
+        for (int trial = 0; trial < 25; ++trial) {
+            // Mix empty, tiny, short and long spans so the lanes of one
+            // group end far apart.
+            std::vector<snapshot::ByteSpan> spans;
+            for (std::size_t i = 0; i < n; ++i) {
+                std::size_t len = 0;
+                switch (rng() % 4) {
+                  case 0: len = 0; break;
+                  case 1: len = rng() % 8; break;
+                  case 2: len = rng() % 600; break;
+                  default: len = rng() % pool.size(); break;
+                }
+                const std::size_t off = rng() % (pool.size() - len + 1);
+                spans.push_back({pool.data() + off, len});
+            }
+            const std::vector<std::uint64_t> got =
+                snapshot::fnv1aEach(spans);
+            ASSERT_EQ(got.size(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(got[i],
+                          snapshot::fnv1a(spans[i].data, spans[i].size))
+                    << "span " << i << " of " << n << ", length "
+                    << spans[i].size;
+            }
+        }
+    }
+}
+
+TEST(Snapshot, FileBytesMatchScalarReference)
+{
+    // Eleven sections (two full lockstep groups plus a tail, one of
+    // them empty) against the container assembled by hand with the
+    // scalar hash, field by field in little-endian order.
+    std::mt19937_64 rng(20100619);
+    snapshot::SnapshotWriter snap;
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>> secs;
+    for (int s = 0; s < 11; ++s) {
+        const std::size_t len = s == 3 ? 0 : rng() % (s < 4 ? 70000 : 900);
+        std::vector<std::uint8_t> payload(len);
+        for (auto &b : payload)
+            b = static_cast<std::uint8_t>(rng());
+        const std::string name = "section" + std::to_string(s);
+        snap.section(name).raw(payload.data(), payload.size());
+        secs.emplace_back(name, std::move(payload));
+    }
+
+    auto le = [](std::vector<std::uint8_t> &out, std::uint64_t v, int n) {
+        for (int i = 0; i < n; ++i)
+            out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    std::vector<std::uint8_t> table;
+    std::uint64_t root = snapshot::kFnvBasis;
+    for (const auto &[name, payload] : secs) {
+        const std::uint64_t hash =
+            snapshot::fnv1a(payload.data(), payload.size());
+        le(table, name.size(), 2);
+        const std::size_t covered = table.size();
+        table.insert(table.end(), name.begin(), name.end());
+        le(table, payload.size(), 8);
+        le(table, hash, 8);
+        root = snapshot::fnv1a(table.data() + covered,
+                               table.size() - covered, root);
+        table.insert(table.end(), payload.begin(), payload.end());
+    }
+    std::vector<std::uint8_t> body(snapshot::kMagic,
+                                   snapshot::kMagic
+                                       + sizeof(snapshot::kMagic));
+    le(body, snapshot::kFormatVersion, 4);
+    le(body, secs.size(), 4);
+    le(body, root, 8);
+    body.insert(body.end(), table.begin(), table.end());
+
+    EXPECT_EQ(snap.serialize(), body);
+    const std::string path = tmpPath("reference.ckpt");
+    snap.writeFile(path);
+    EXPECT_EQ(readBytes(path), body);
+    std::filesystem::remove(path);
+    EXPECT_EQ(parseError(body), "");
+}
+
+TEST(Snapshot, ForgedSectionSizeIsTruncatedNotOverread)
+{
+    // One section whose table size is forged near 2^64, with the root
+    // hash recomputed so the table itself verifies: an additive
+    // "offset + size > file size" check wraps and lets the hash read
+    // far past the buffer.
+    snapshot::SnapshotWriter snap;
+    snapshot::Writer &w = snap.section("victim");
+    for (int i = 0; i < 64; ++i)
+        w.u8(static_cast<std::uint8_t>(i));
+    std::vector<std::uint8_t> bytes = snap.serialize();
+
+    // 24-byte header, then u16 name length, name, u64 size, u64 hash.
+    const std::size_t entry = 24, name_len = 6;
+    const std::size_t size_at = entry + 2 + name_len;
+    storeLe64(bytes, size_at, ~std::uint64_t{0} - 7);
+    storeLe64(bytes, 16,
+              snapshot::fnv1a(bytes.data() + entry + 2, name_len + 16));
+    EXPECT_EQ(parseError(bytes), "snapshot.truncated: victim");
+}
+
+TEST(Snapshot, SeededByteMutantsAreRejectedByName)
+{
+    // A real 16-core mid-run checkpoint, then ~200 seeded single-byte
+    // mutants over header, table and payloads plus a cut at every
+    // section boundary: each must be refused with a `snapshot.`
+    // diagnosis, and a payload mutant must name its own section
+    // (FNV-1a changes on every single-byte change).
+    const auto job = point(sim::NetKind::Fsoi, "fft", 5);
+    const auto full = sim::SweepRunner::runJob(job, false).result;
+    ASSERT_TRUE(full.completed);
+    const std::string path = tmpPath("mutants.ckpt");
+    checkpointAt(job, 4000, 1, path);
+    const auto bytes = readBytes(path);
+    expectIdentical(full, resumeFrom(path, job, 1));
+    std::filesystem::remove(path);
+
+    const snapshot::SnapshotReader intact{std::vector<std::uint8_t>(bytes)};
+    const auto &secs = intact.sections();
+    ASSERT_GT(secs.size(), 40u);
+    std::vector<std::size_t> entryAt; // start of each table entry
+    std::size_t at = 24;
+    for (const auto &s : secs) {
+        entryAt.push_back(at);
+        at = s.offset + static_cast<std::size_t>(s.size);
+    }
+    ASSERT_EQ(at, bytes.size());
+
+    std::mt19937_64 rng(0xf501c0de);
+    auto mutate = [&](std::size_t pos) {
+        auto mutant = bytes;
+        mutant[pos] ^= static_cast<std::uint8_t>(1 + rng() % 255);
+        return parseError(std::move(mutant));
+    };
+    auto expectPrefixed = [](const std::string &what, const char *where,
+                             std::size_t pos) {
+        EXPECT_EQ(what.rfind("snapshot.", 0), 0u)
+            << where << " mutant at byte " << pos << ": '" << what << "'";
+    };
+    int mutants = 0;
+    for (std::size_t pos = 0; pos < 24; ++pos, ++mutants)
+        expectPrefixed(mutate(pos), "header", pos);
+    for (int k = 0; k < 64; ++k, ++mutants) {
+        const std::size_t i = rng() % secs.size();
+        const std::size_t pos =
+            entryAt[i] + rng() % (secs[i].offset - entryAt[i]);
+        expectPrefixed(mutate(pos), "table", pos);
+    }
+    for (int k = 0; k < 112; ++k, ++mutants) {
+        std::size_t i;
+        do {
+            i = rng() % secs.size();
+        } while (secs[i].size == 0);
+        const std::size_t pos = secs[i].offset + rng() % secs[i].size;
+        EXPECT_EQ(mutate(pos), "snapshot.corrupt: " + secs[i].name)
+            << "payload mutant at byte " << pos;
+    }
+    EXPECT_EQ(mutants, 200);
+
+    // Cut at every section boundary: before an entry the table runs
+    // short, between an entry and its payload the section is truncated.
+    for (std::size_t i = 0; i < secs.size(); ++i) {
+        const std::vector<std::uint8_t> before(bytes.begin(),
+                                               bytes.begin() + entryAt[i]);
+        expectPrefixed(parseError(before), "cut", entryAt[i]);
+        if (secs[i].size == 0)
+            continue;
+        const std::vector<std::uint8_t> headless(
+            bytes.begin(), bytes.begin() + secs[i].offset);
+        EXPECT_EQ(parseError(headless), "snapshot.truncated: " + secs[i].name);
+    }
+    EXPECT_EQ(parseError(bytes), "");
 }
 
 // --- campaign layer -------------------------------------------------
