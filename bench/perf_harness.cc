@@ -8,15 +8,11 @@
  * SweepRunner to time the multi-job path.
  *
  * Usage:
- *   perf_harness [--quick] [--jobs=N] [--threads=N] [--reps=N]
- *                [--json=FILE] [--check=FILE] [--tolerance=F]
+ *   perf_harness [--quick] [--jobs=N] [--reps=N] [--json=FILE]
+ *                [--check=FILE] [--tolerance=F]
  *
  *   --quick        scale the workloads down (the configuration the
  *                  committed BENCH_perf.json and tools/ci.sh use)
- *   --threads=N    intra-run tick-engine threads for every timed
- *                  System (default 1, the gated configuration; 0 =
- *                  one per host CPU). Cycle counts are identical at
- *                  any N, so the gate still validates determinism.
  *   --reps=N       time each run N times and keep the fastest
  *                  (default 3; cycle counts must agree across reps)
  *   --json=FILE    write the measurements as JSON (schema below)
@@ -28,8 +24,7 @@
  *                  on a single-CPU host (no parallelism to measure).
  *
  * JSON schema:
- *   {"schema":"fsoi-perf-1","quick":true,"jobs":4,"threads":1,
- *    "host_cpus":8,
+ *   {"schema":"fsoi-perf-1","quick":true,"jobs":4,"host_cpus":8,
  *    "runs":[{"name":"mesh.fft","cycles":123,"wall_s":1.5,
  *             "cycles_per_sec":82.0},...],
  *    "profile":[{"name":"mesh.fft","sampled_cycles":123,
@@ -200,7 +195,6 @@ main(int argc, char **argv)
 {
     bool quick = false;
     int jobs = 0; // 0 = hardware concurrency
-    int threads = 1; // gated configuration is single-threaded
     int reps = 3;
     std::string json_path, check_path;
     double tolerance = 0.10;
@@ -210,8 +204,6 @@ main(int argc, char **argv)
             quick = true;
         else if (arg.rfind("--jobs=", 0) == 0)
             jobs = std::atoi(arg.data() + 7);
-        else if (arg.rfind("--threads=", 0) == 0)
-            threads = std::atoi(arg.data() + 10);
         else if (arg.rfind("--reps=", 0) == 0)
             reps = std::max(1, std::atoi(arg.data() + 7));
         else if (arg.rfind("--json=", 0) == 0)
@@ -223,8 +215,8 @@ main(int argc, char **argv)
         else {
             std::fprintf(stderr,
                          "usage: perf_harness [--quick] [--jobs=N] "
-                         "[--threads=N] [--reps=N] [--json=FILE] "
-                         "[--check=FILE] [--tolerance=F]\n");
+                         "[--reps=N] [--json=FILE] [--check=FILE] "
+                         "[--tolerance=F]\n");
             return 2;
         }
     }
@@ -233,10 +225,8 @@ main(int argc, char **argv)
     const unsigned host_cpus =
         std::max(1u, std::thread::hardware_concurrency());
 
-    const auto timedConfig = [&](sim::NetKind kind) {
-        auto cfg = bench::paperConfig(16, kind, 7);
-        cfg.threads = threads;
-        return cfg;
+    const auto timedConfig = [](sim::NetKind kind) {
+        return bench::paperConfig(16, kind, 7);
     };
 
     // The first four points are the busy-matrix cycles/sec gate; the
@@ -403,7 +393,6 @@ main(int argc, char **argv)
         }
         os << "{\"schema\":\"fsoi-perf-1\",\"quick\":"
            << (quick ? "true" : "false") << ",\"jobs\":" << sweep_jobs
-           << ",\"threads\":" << threads
            << ",\"host_cpus\":" << host_cpus << ",\"runs\":[";
         for (std::size_t i = 0; i < runs.size(); ++i) {
             char buf[160];

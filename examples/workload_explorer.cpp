@@ -64,7 +64,6 @@ main(int argc, char **argv)
         sim::SystemConfig cfg = sim::SystemConfig::paperConfig(16, kind);
         if (obs_opts.seed != 0)
             cfg.seed = obs_opts.seed;
-        cfg.threads = obs_opts.threads;
         sim::System system(cfg);
         system.loadApp(app.scaled(scale));
         if (!obs_opts.restore.empty()) {

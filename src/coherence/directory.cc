@@ -920,8 +920,7 @@ Directory::loadState(snapshot::Reader &r)
 {
     using namespace snapshot;
 
-    const std::uint64_t num_lines = r.u64();
-    std::vector<CacheArray<DirMeta>::Line> lines(num_lines);
+    std::vector<CacheArray<DirMeta>::Line> lines(r.count(31));
     for (auto &line : lines) {
         line.tag = r.u64();
         line.valid = r.boolean();
@@ -964,7 +963,7 @@ Directory::loadState(snapshot::Reader &r)
         out.msg = loadMessage(r);
         outbox_.push_back(out);
     }
-    deferredFills_.resize(r.u64());
+    deferredFills_.resize(r.count(kSavedMessageBytes));
     for (Message &msg : deferredFills_)
         msg = loadMessage(r);
 

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory_resource>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -24,42 +23,21 @@
 namespace fsoi::coherence {
 
 /**
- * Sparse 64-bit word store shared by every core in a System.
- *
- * Under the parallel tick engine, L1s and directories on different
- * shards touch the store concurrently, so the System enables the
- * internal lock (guarding the container against rehash races). The
- * values themselves stay deterministic without any ordering help:
- * MESI exclusivity serializes same-word write/read pairs at the
- * protocol level, and same-cycle accesses to different words commute.
+ * Sparse 64-bit word store shared by every core in a System. Each
+ * System owns its own store and ticks on one thread, so it needs no
+ * lock.
  */
 class FunctionalMemory
 {
   public:
-    /** Turn on internal locking (threaded runs only; serial runs keep
-     *  the lock-free fast path). */
-    void enableLocking(bool on) { locked_ = on; }
-
     std::uint64_t
     read(Addr addr) const
     {
-        if (locked_) {
-            std::lock_guard<std::mutex> guard(mutex_);
-            return readUnlocked(addr);
-        }
-        return readUnlocked(addr);
+        const auto it = words_.find(addr);
+        return it == words_.end() ? 0 : it->second;
     }
 
-    void
-    write(Addr addr, std::uint64_t value)
-    {
-        if (locked_) {
-            std::lock_guard<std::mutex> guard(mutex_);
-            words_[addr] = value;
-            return;
-        }
-        words_[addr] = value;
-    }
+    void write(Addr addr, std::uint64_t value) { words_[addr] = value; }
 
     void clear() { words_.clear(); }
 
@@ -83,20 +61,11 @@ class FunctionalMemory
     }
 
   private:
-    std::uint64_t
-    readUnlocked(Addr addr) const
-    {
-        const auto it = words_.find(addr);
-        return it == words_.end() ? 0 : it->second;
-    }
-
     /** Word nodes come from a pool that grows in ever larger chunks,
      *  so first-touch stores rarely reach the heap. Declared before
      *  words_, which must be destroyed first. */
     std::pmr::unsynchronized_pool_resource wordPool_;
     std::pmr::unordered_map<Addr, std::uint64_t> words_{&wordPool_};
-    mutable std::mutex mutex_;
-    bool locked_ = false;
 };
 
 } // namespace fsoi::coherence

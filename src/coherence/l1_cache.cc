@@ -774,8 +774,7 @@ L1Cache::loadState(snapshot::Reader &r, const Callback &core_cb)
 {
     using namespace snapshot;
 
-    const std::uint64_t num_lines = r.u64();
-    std::vector<CacheArray<LineMeta>::Line> lines(num_lines);
+    std::vector<CacheArray<LineMeta>::Line> lines(r.count(18));
     for (auto &line : lines) {
         line.tag = r.u64();
         line.valid = r.boolean();
@@ -824,7 +823,7 @@ L1Cache::loadState(snapshot::Reader &r, const Callback &core_cb)
         out.msg = loadMessage(r);
         outbox_.push_back(out);
     }
-    deferredData_.resize(r.u64());
+    deferredData_.resize(r.count(kSavedMessageBytes));
     for (Message &msg : deferredData_)
         msg = loadMessage(r);
     pendingDone_.clear();

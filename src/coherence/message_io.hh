@@ -13,6 +13,10 @@
 
 namespace fsoi::coherence {
 
+/** Bytes saveMessage() writes: the per-element size for
+ *  snapshot::Reader::count(). */
+inline constexpr std::size_t kSavedMessageBytes = 32;
+
 inline void
 saveMessage(snapshot::Writer &w, const Message &msg)
 {

@@ -243,13 +243,6 @@ FsoiNetwork::canAccept(NodeId src, PacketClass cls) const
         < static_cast<std::size_t>(config_.queue_capacity);
 }
 
-int
-FsoiNetwork::sendBudget(NodeId src, PacketClass cls) const
-{
-    return config_.queue_capacity
-        - static_cast<int>(lane(src, cls).queue.size());
-}
-
 NodeId
 FsoiNetwork::nextBusy(PacketClass cls, NodeId from) const
 {
@@ -893,14 +886,14 @@ FsoiNetwork::loadState(snapshot::Reader &r)
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
         TxLane &ln = lanes_[i];
         ln.queue.clear();
-        const std::uint64_t nq = r.u64();
+        const std::uint64_t nq = r.count(noc::kSavedPacketBytes + 8);
         for (std::uint64_t i = 0; i < nq; ++i) {
             QueuedPacket qp;
             qp.pkt = loadPacket(r);
             qp.release_at = r.u64();
             ln.queue.push_back(std::move(qp));
         }
-        ln.retries.resize(r.u64());
+        ln.retries.resize(r.count(noc::kSavedPacketBytes + 8));
         for (RetryEntry &re : ln.retries) {
             re.pkt = loadPacket(r);
             re.retry_at = r.u64();
@@ -912,20 +905,20 @@ FsoiNetwork::loadState(snapshot::Reader &r)
                      static_cast<PacketClass>(i % 2));
     }
     for (auto &fl : inflight_) {
-        fl.resize(r.u64());
+        fl.resize(r.count(noc::kSavedPacketBytes + 4));
         for (Transmission &tx : fl) {
             tx.pkt = loadPacket(r);
             tx.rx = r.i32();
         }
     }
-    confirmations_.resize(r.u64());
+    confirmations_.resize(r.count(10 + noc::kSavedPacketBytes));
     for (ConfirmEvent &ev : confirmations_) {
         ev.due = r.u64();
         ev.success = r.boolean();
         ev.hinted_winner = r.boolean();
         ev.pkt = loadPacket(r);
     }
-    controlBits_.resize(r.u64());
+    controlBits_.resize(r.count(24));
     for (ControlBitEvent &ev : controlBits_) {
         ev.due = r.u64();
         ev.src = r.u32();
@@ -933,7 +926,7 @@ FsoiNetwork::loadState(snapshot::Reader &r)
         ev.tag = r.u64();
     }
     reservationLog_.clear();
-    const std::uint64_t num_res = r.u64();
+    const std::uint64_t num_res = r.count(16);
     for (std::uint64_t i = 0; i < num_res; ++i) {
         ReservationEntry re;
         re.slot = r.u64();

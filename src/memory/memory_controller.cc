@@ -123,7 +123,7 @@ MemoryController::loadState(snapshot::Reader &r)
     busyUntil_ = r.u64();
     now_ = r.u64();
     replies_.clear();
-    const std::uint64_t n = r.u64();
+    const std::uint64_t n = r.count(12 + coherence::kSavedMessageBytes);
     replies_.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         Reply reply;

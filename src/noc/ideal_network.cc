@@ -61,13 +61,6 @@ IdealNetwork::canAccept(NodeId src, PacketClass cls) const
         < static_cast<std::size_t>(config_.queue_capacity);
 }
 
-int
-IdealNetwork::sendBudget(NodeId src, PacketClass cls) const
-{
-    return config_.queue_capacity
-        - static_cast<int>(lane(src, cls).queue.size());
-}
-
 bool
 IdealNetwork::send(Packet &&pkt)
 {
@@ -164,13 +157,13 @@ IdealNetwork::loadState(snapshot::Reader &r)
                 "ideal network endpoint count mismatch on restore");
     for (Lane &ln : lanes_) {
         ln.queue.clear();
-        const std::uint64_t n = r.u64();
+        const std::uint64_t n = r.count(kSavedPacketBytes);
         for (std::uint64_t i = 0; i < n; ++i)
             ln.queue.push_back(loadPacket(r));
         ln.free_at = r.u64();
     }
     inflight_ = {};
-    const std::uint64_t num_inflight = r.u64();
+    const std::uint64_t num_inflight = r.count(16 + kSavedPacketBytes);
     for (std::uint64_t i = 0; i < num_inflight; ++i) {
         InFlight f;
         f.due = r.u64();

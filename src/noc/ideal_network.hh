@@ -46,7 +46,6 @@ class IdealNetwork : public Network
 
     bool send(Packet &&pkt) override;
     bool canAccept(NodeId src, PacketClass cls) const override;
-    int sendBudget(NodeId src, PacketClass cls) const override;
     void tick(Cycle now) override;
     bool idle() const override;
 

@@ -437,15 +437,6 @@ MeshNetwork::canAccept(NodeId src, PacketClass cls) const
         < static_cast<std::size_t>(config_.inject_queue_capacity);
 }
 
-int
-MeshNetwork::sendBudget(NodeId src, PacketClass cls) const
-{
-    const auto &lane =
-        injectors_[src].lanes[static_cast<int>(cls)];
-    return config_.inject_queue_capacity
-        - static_cast<int>(lane.queue.size());
-}
-
 bool
 MeshNetwork::send(Packet &&pkt)
 {
@@ -1123,10 +1114,10 @@ MeshNetwork::loadSnapshot(const snapshot::SnapshotReader &snap,
         for (auto &c : dirs)
             loadCounter(r, c);
 
-    std::vector<Packet> slots(r.u64());
+    std::vector<Packet> slots(r.count(kSavedPacketBytes));
     for (auto &pkt : slots)
         pkt = loadPacket(r);
-    std::vector<PacketHandle> free_list(r.u64());
+    std::vector<PacketHandle> free_list(r.count(4));
     for (auto &h : free_list)
         h = r.u32();
     pkts_.rawRestore(std::move(slots), std::move(free_list));
@@ -1137,7 +1128,7 @@ MeshNetwork::loadSnapshot(const snapshot::SnapshotReader &snap,
     for (Injector &inj : injectors_) {
         for (InjectLane &lane : inj.lanes) {
             lane.queue.clear();
-            const std::uint64_t n = r.u64();
+            const std::uint64_t n = r.count(kSavedPacketBytes);
             for (std::uint64_t i = 0; i < n; ++i)
                 lane.queue.push_back(loadPacket(r));
         }
@@ -1149,13 +1140,13 @@ MeshNetwork::loadSnapshot(const snapshot::SnapshotReader &snap,
         inj.rr_class = r.i32();
     }
 
-    pending_.resize(r.u64());
+    pending_.resize(r.count(12));
     for (PendingDelivery &pd : pending_) {
         pd.due = r.u64();
         pd.pkt = r.u32();
     }
     retxQueue_.clear();
-    const std::uint64_t num_retx = r.u64();
+    const std::uint64_t num_retx = r.count(8 + kSavedPacketBytes);
     for (std::uint64_t i = 0; i < num_retx; ++i) {
         RetxEvent ev;
         ev.due = r.u64();
@@ -1194,7 +1185,7 @@ MeshNetwork::loadSnapshot(const snapshot::SnapshotReader &snap,
             oport.rr_in = rr.i32();
             oport.rr_vc = rr.i32();
         }
-        router.credit_queue.resize(rr.u64());
+        router.credit_queue.resize(rr.count(8));
         for (auto &ev : router.credit_queue) {
             ev.port = rr.i32();
             ev.vc = rr.i32();

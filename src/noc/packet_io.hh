@@ -14,6 +14,11 @@
 
 namespace fsoi::noc {
 
+/** Bytes savePacket() writes: the per-element size for
+ *  snapshot::Reader::count(). */
+inline constexpr std::size_t kSavedPacketBytes =
+    62 + Packet::kMaxPayloadBytes;
+
 inline void
 savePacket(snapshot::Writer &w, const Packet &pkt)
 {

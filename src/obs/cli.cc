@@ -43,22 +43,15 @@ parseCliOptions(int &argc, char **argv)
             opts.seed = std::strtoull(v4, &end, 0);
             if (end == v4 || *end != '\0' || opts.seed == 0)
                 fatal("--seed wants a positive integer, got '%s'", v4);
-        } else if (const char *v5 = matchValue(arg, "--threads")) {
-            char *end = nullptr;
-            const long n = std::strtol(v5, &end, 0);
-            if (end == v5 || *end != '\0' || n < 0)
-                fatal("--threads wants a non-negative integer, got '%s'",
-                      v5);
-            opts.threads = static_cast<int>(n);
-        } else if (const char *v6 = matchValue(arg, "--checkpoint")) {
-            opts.checkpoint = v6;
-        } else if (const char *v7 = matchValue(arg, "--restore")) {
-            opts.restore = v7;
-        } else if (const char *v8 = matchValue(arg, "--checkpoint-every")) {
-            const long n = std::atol(v8);
+        } else if (const char *v5 = matchValue(arg, "--checkpoint")) {
+            opts.checkpoint = v5;
+        } else if (const char *v6 = matchValue(arg, "--restore")) {
+            opts.restore = v6;
+        } else if (const char *v7 = matchValue(arg, "--checkpoint-every")) {
+            const long n = std::atol(v7);
             if (n <= 0)
                 fatal("--checkpoint-every wants a positive cycle count, "
-                      "got '%s'", v8);
+                      "got '%s'", v7);
             opts.checkpoint_every = static_cast<Cycle>(n);
         } else if (std::strcmp(arg, "--stats") == 0) {
             opts.stats_text = true;

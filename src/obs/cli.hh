@@ -13,9 +13,6 @@
  *                         RNG stream (cores, FSOI backoff, fault
  *                         schedules) follows from it, so runs are
  *                         reproducible from the command line
- *   --threads=N           intra-run tick-engine worker threads
- *                         (SystemConfig::threads); 0 = one per host
- *                         CPU. Results are bit-identical at any N.
  *   --checkpoint=FILE     periodic hash-verified checkpoint file
  *                         (System::setCheckpoint); pair with
  *                         --checkpoint-every=N (cycles, default
@@ -46,7 +43,6 @@ struct CliOptions
     Cycle stats_interval = 0; //!< 0 = end-of-run dump only
     bool stats_text = false;
     std::uint64_t seed = 0;   //!< 0 = keep the config's default seed
-    int threads = 1;          //!< tick-engine threads; 0 = host CPUs
 
     std::string checkpoint;   //!< empty = no periodic checkpoints
     std::string restore;      //!< empty = fresh run

@@ -150,14 +150,7 @@ FlightRecorder::beginTransaction(FlightEventKind kind, Cycle cycle,
 {
     if (!enabled())
         return;
-    if (locked_) {
-        std::lock_guard<std::mutex> guard(mutex_);
-        recordUnlocked(kind, cycle, node, kInvalidNode, line, detail);
-        tableInsert(packKey(keyClass(kind), node, line),
-                    Inflight{cycle, detail});
-        return;
-    }
-    recordUnlocked(kind, cycle, node, kInvalidNode, line, detail);
+    record(kind, cycle, node, kInvalidNode, line, detail);
     tableInsert(packKey(keyClass(kind), node, line),
                 Inflight{cycle, detail});
 }
@@ -169,13 +162,7 @@ FlightRecorder::endTransaction(FlightEventKind kind, Cycle cycle,
 {
     if (!enabled())
         return;
-    if (locked_) {
-        std::lock_guard<std::mutex> guard(mutex_);
-        recordUnlocked(kind, cycle, node, kInvalidNode, line, detail);
-        tableErase(packKey(keyClass(kind), node, line));
-        return;
-    }
-    recordUnlocked(kind, cycle, node, kInvalidNode, line, detail);
+    record(kind, cycle, node, kInvalidNode, line, detail);
     tableErase(packKey(keyClass(kind), node, line));
 }
 

@@ -48,13 +48,6 @@ enum class TickPhase : std::uint8_t
     L1,         //!< private L1 ticks
     Core,       //!< core ticks
     /**
-     * Threaded runs fork all component phases (memory, directory, L1,
-     * core) to the shard workers between two barriers; the serial
-     * per-phase brackets are meaningless there, so the whole fork/join
-     * region is charged to this one phase instead.
-     */
-    Components,
-    /**
      * Event-calendar bookkeeping: computing the next epoch, popping
      * due calendar entries and re-arming component wakes. Cycles the
      * calendar skips entirely cost nothing and are attributed nowhere

@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-shard event calendar: a bucketed timing wheel that lets the run
+ * Event calendar: a bucketed timing wheel that lets the run
  * loop advance straight to the next populated cycle instead of ticking
  * cycle by cycle.
  *
@@ -38,9 +38,8 @@ enum class WakeKind : std::uint8_t { Mem, Dir, L1, Core };
 
 /**
  * Timing wheel over a power-of-two window of upcoming cycles. Each
- * shard owns one; all scheduling happens from the owning shard's own
- * component phases (or from the main thread while workers are parked),
- * so no locking is needed anywhere.
+ * System owns one and schedules into it from its own run loop, so no
+ * locking is needed anywhere.
  */
 class EventCalendar
 {

@@ -5,26 +5,24 @@
  * (snapshot/archive.hh) and rebuilds the scheduler runtime around the
  * restored state.
  *
- * Capture point is the top of a cycle, before the network tick: the
- * threaded engine's staging buffers are empty there, and the wake
- * bitmaps and event calendars are memoization of per-component wake
- * cycles that are pure functions of component state
- * (Component::nextEventCycle()), so none of them are serialized and
- * snapshots are bit-identical at any --threads. Restore re-seeds the
- * scheduler by waking every component with pending work once; the
- * first tick re-arms exact wakes.
+ * Capture point is the top of a cycle, before the network tick. The
+ * wake bitmaps and the event calendar are memoization of per-component
+ * wake cycles that are pure functions of component state
+ * (Component::nextEventCycle()), so neither is serialized. Restore
+ * re-seeds the scheduler by waking every component with pending work
+ * once; the first tick re-arms exact wakes.
  *
- * The one piece of state that *is* partitioned by thread count — the
- * per-shard local-hop queues — is serialized in a canonical order that
- * every partitioning can reconstruct. A queue entry's insertion slot is
- * (cycle, phase, node, program order); cycle is recoverable from the
- * due stamp (the local-hop latency is constant), the node is the
- * destination (self-sends only), and the phase is recoverable from the
- * message type, because the component kinds that can send to their own
- * node emit disjoint type sets (directory grants, L1 requests/acks,
- * core sync ops). Sorting by (due, phase, dst) with ties left in FIFO
- * order therefore reproduces exactly each shard's insertion order when
- * the entries are dealt back out by nodeShard_[dst].
+ * The local-hop queue is written sorted by (due, phase, dst), ties in
+ * FIFO order. A queue entry's insertion slot is (cycle, phase, node,
+ * program order): cycle is recoverable from the due stamp (the
+ * local-hop latency is constant), the node is the destination
+ * (self-sends only), and the phase is recoverable from the message
+ * type, because the component kinds that can send to their own node
+ * emit disjoint type sets (directory grants, L1 requests/acks, core
+ * sync ops). The sort therefore fixes the section's bytes as a function
+ * of the queued messages alone; it is kept even though the one FIFO is
+ * probably in that order already, because no test shows that it is.
+ * Restore pushes the entries back in file order.
  */
 
 #include "sim/system.hh"
@@ -44,7 +42,7 @@ namespace {
 
 /**
  * Which component phase issues a same-node send of this message type
- * (tickShard's phase order). Directory grants/NACKs are L1-bound,
+ * (tickComponents' phase order). Directory grants/NACKs are L1-bound,
  * sync ops come from cores, everything else self-sent is an L1
  * request/ack to its own-tile directory.
  */
@@ -84,8 +82,7 @@ void
 System::saveSnapshot(snapshot::SnapshotWriter &snap) const
 {
     // Config fingerprint: restore refuses a snapshot taken under a
-    // different machine shape. Thread count is deliberately absent —
-    // snapshots restore across --threads values.
+    // different machine shape.
     snapshot::Writer &meta = snap.section("meta");
     meta.u32(static_cast<std::uint32_t>(config_.num_cores));
     meta.u32(static_cast<std::uint32_t>(config_.num_memctls));
@@ -120,11 +117,7 @@ System::saveSnapshot(snapshot::SnapshotWriter &snap) const
         memctls_[m]->saveState(snap.section("mem" + std::to_string(m)));
 
     // Canonical local-queue order (see file comment).
-    std::vector<LocalMsg> msgs;
-    for (const auto &shard : shards_) {
-        msgs.insert(msgs.end(), shard.localQueue.begin(),
-                    shard.localQueue.end());
-    }
+    std::vector<LocalMsg> msgs(localQueue_.begin(), localQueue_.end());
     std::stable_sort(msgs.begin(), msgs.end(),
                      [](const LocalMsg &a, const LocalMsg &b) {
                          if (a.due != b.due)
@@ -188,7 +181,7 @@ System::restoreSnapshot(const snapshot::SnapshotReader &snap)
     {
         snapshot::Reader r = snap.open("memory");
         std::vector<std::pair<Addr, std::uint64_t>> words;
-        const std::uint64_t n = r.u64();
+        const std::uint64_t n = r.count(16);
         words.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i) {
             const Addr addr = r.u64();
@@ -223,18 +216,17 @@ System::restoreSnapshot(const snapshot::SnapshotReader &snap)
         memctls_[m]->loadState(r);
     }
 
-    for (auto &shard : shards_)
-        shard.localQueue.clear();
+    localQueue_.clear();
     {
         snapshot::Reader r = snap.open("sched");
-        const std::uint64_t n = r.u64();
+        const std::uint64_t n =
+            r.count(12 + coherence::kSavedMessageBytes);
         for (std::uint64_t i = 0; i < n; ++i) {
             LocalMsg msg;
             msg.due = r.u64();
             msg.dst = static_cast<NodeId>(r.u32());
             msg.msg = coherence::loadMessage(r);
-            shards_[static_cast<std::size_t>(nodeShard_[msg.dst])]
-                .localQueue.push_back(std::move(msg));
+            localQueue_.push_back(std::move(msg));
         }
     }
 

@@ -282,6 +282,21 @@ class Reader
         return std::string(reinterpret_cast<const char *>(take(n)), n);
     }
 
+    /**
+     * An element count, read before any container is sized from it.
+     * A count that cannot fit in the bytes left at @p min_bytes per
+     * element throws snapshot.underrun: the hashes catch accidents,
+     * not a file whose hashes were recomputed over a forged count.
+     */
+    std::uint64_t
+    count(std::size_t min_bytes)
+    {
+        const std::uint64_t n = u64();
+        if (n > remaining() / min_bytes)
+            underrun();
+        return n;
+    }
+
     std::size_t remaining() const { return size_ - pos_; }
     const std::string &name() const { return name_; }
 

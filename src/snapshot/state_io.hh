@@ -64,7 +64,7 @@ saveU64Vec(Writer &w, const std::vector<std::uint64_t> &v)
 inline std::vector<std::uint64_t>
 loadU64Vec(Reader &r)
 {
-    std::vector<std::uint64_t> v(r.u64());
+    std::vector<std::uint64_t> v(r.count(8));
     for (auto &x : v)
         x = r.u64();
     return v;

@@ -1,21 +1,17 @@
 /**
  * @file
- * Determinism guarantees of the sweep runner and the intra-run tick
- * engine: a (config, workload, seed) point produces field-identical
- * RunResults whether it is run inline, repeatedly, fanned across
- * worker threads at any --jobs level, or ticked by any number of
- * shard workers (SystemConfig::threads). Every System is constructed,
- * run, and read out entirely on one thread with its own RNGs, stat
- * registry, and allocation pools; inside a run, the staged-send merge
- * replays cross-shard traffic in program order, so nothing about
- * either level of threading may leak into the results.
+ * Determinism guarantees of the sweep runner: a (config, workload,
+ * seed) point produces field-identical RunResults whether it is run
+ * inline, repeatedly, fanned across worker threads at any --jobs
+ * level, or interrupted and resumed from a checkpoint. Every System is
+ * constructed, run, and read out entirely on one thread with its own
+ * RNGs, stat registry, and allocation pools, so nothing about the
+ * sweep's threading may leak into the results.
  */
 
-#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,37 +89,15 @@ matrix()
 }
 
 std::vector<sim::RunResult>
-runMatrix(int jobs, int threads = 1)
+runMatrix(int jobs)
 {
     sim::SweepRunner runner(jobs);
     std::vector<std::future<sim::RunResult>> futs;
-    for (auto job : matrix()) {
-        job.config.threads = threads;
+    for (const auto &job : matrix())
         futs.push_back(runner.submit(job));
-    }
     std::vector<sim::RunResult> out;
     for (auto &f : futs)
         out.push_back(f.get());
-    return out;
-}
-
-/** Full stat-registry snapshot (flattened scalars), minus the host.*
- *  wall-clock stats that legitimately vary run to run. */
-std::vector<std::pair<std::string, double>>
-statSnapshot(sim::SweepJob job, int threads)
-{
-    job.config.threads = threads;
-    const auto outcome = sim::SweepRunner::runJob(job, true);
-    const obs::StatRegistry &reg = outcome.system->statRegistry();
-    const auto names = reg.scalarNames();
-    std::vector<double> values;
-    reg.scalarValues(values);
-    std::vector<std::pair<std::string, double>> out;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        if (names[i].rfind("host.", 0) == 0)
-            continue;
-        out.emplace_back(names[i], values[i]);
-    }
     return out;
 }
 
@@ -147,56 +121,13 @@ TEST(Determinism, ParallelMatchesSerial)
     }
 }
 
-TEST(Determinism, TickEngineThreadsMatchSerial)
-{
-    // The intra-run tick engine must be bit-identical at every shard
-    // count, composed with every sweep --jobs level. The matrix
-    // includes the faulted points, so fault schedules, retransmission
-    // and recovery all run under the threaded engine too.
-    const auto serial = runMatrix(1, 1);
-    for (int threads : {2, 4}) {
-        for (int jobs : {1, 4}) {
-            const auto got = runMatrix(jobs, threads);
-            ASSERT_EQ(serial.size(), got.size());
-            for (std::size_t i = 0; i < serial.size(); ++i)
-                expectIdentical(serial[i], got[i]);
-        }
-    }
-}
-
-TEST(Determinism, TickEngineThreadsIdenticalStats)
-{
-    // Stronger than RunResult equality: every registered stat (all
-    // counters, accumulator and histogram moments) must match the
-    // serial run exactly, on a healthy and on a faulted config.
-    auto faulted = point(sim::NetKind::Fsoi, "fft", 7);
-    faulted.config.fault.ber = 1e-4;
-    for (const auto &job :
-         {point(sim::NetKind::Fsoi, "fft", 3), faulted}) {
-        const auto ref = statSnapshot(job, 1);
-        ASSERT_FALSE(ref.empty());
-        for (int threads : {2, 4}) {
-            const auto got = statSnapshot(job, threads);
-            ASSERT_EQ(ref.size(), got.size());
-            for (std::size_t i = 0; i < ref.size(); ++i) {
-                EXPECT_EQ(ref[i].first, got[i].first);
-                const double a = ref[i].second, b = got[i].second;
-                EXPECT_TRUE(a == b || (std::isnan(a) && std::isnan(b)))
-                    << ref[i].first << ": " << a << " vs " << b
-                    << " at threads=" << threads;
-            }
-        }
-    }
-}
-
 TEST(Determinism, RestoredRunMatchesUninterrupted)
 {
-    // Checkpoint/restore composes with both levels of threading: a run
-    // interrupted at an arbitrary cycle and resumed from its snapshot
-    // (under any tick-engine thread count) reports exactly what the
-    // uninterrupted run reports. The matrix includes the faulted
-    // points, so fault schedules and recovery state round-trip too.
-    const auto serial = runMatrix(1, 1);
+    // A run interrupted at an arbitrary cycle and resumed from its
+    // snapshot reports exactly what the uninterrupted run reports. The
+    // matrix includes the faulted points, so fault schedules and
+    // recovery state round-trip too.
+    const auto serial = runMatrix(1);
     const auto jobs = matrix();
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const std::string ckpt = testing::TempDir() + "fsoi_det_"
@@ -209,9 +140,8 @@ TEST(Determinism, RestoredRunMatchesUninterrupted)
             ASSERT_FALSE(sys.run().completed);
             sys.saveCheckpoint(ckpt);
         }
-        for (int threads : {1, 4}) {
-            auto job = jobs[i];
-            job.config.threads = threads;
+        {
+            const auto &job = jobs[i];
             sim::System sys(job.config);
             sys.loadApp(job.app.scaled(job.scale));
             sys.restoreCheckpoint(ckpt);

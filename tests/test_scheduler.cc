@@ -3,10 +3,9 @@
  * Event-calendar scheduler guarantees (DESIGN.md §5e): the timing
  * wheel delivers exactly the entries a brute-force list would, in any
  * traffic pattern; waits longer than the wheel window spill to the
- * overflow list and come back on time; cross-shard wakes landing on an
- * epoch boundary reproduce the serial run bit-for-bit; and a snapshot
- * taken while the calendar holds pending wakes restores exactly, even
- * though the calendar itself is never serialized.
+ * overflow list and come back on time; and a snapshot taken while the
+ * calendar holds pending wakes restores exactly, even though the
+ * calendar itself is never serialized.
  */
 
 #include <algorithm>
@@ -168,8 +167,8 @@ sim::SweepJob
 idlePoint(std::uint64_t seed)
 {
     // The idle-heavy profile maximizes calendar skipping (mean
-    // compute gap ~200 cycles), so epochs jump far and cross-shard
-    // message deliveries land right on epoch boundaries.
+    // compute gap ~200 cycles), so epochs jump far and most wakes sit
+    // in the calendar rather than the wake bitmaps.
     sim::SweepJob job;
     job.config = sim::SystemConfig::paperConfig(16, sim::NetKind::Fsoi);
     job.config.seed = seed;
@@ -191,55 +190,28 @@ expectSameRun(const sim::RunResult &a, const sim::RunResult &b)
     EXPECT_EQ(a.energy.total(), b.energy.total());
 }
 
-TEST(Scheduler, CrossShardWakeAtEpochBoundary)
-{
-    // Threaded shards advance in epochs of the global minimum wake;
-    // a component on shard A waking a component on shard B exactly at
-    // that minimum must behave as in the serial run. The idle-heavy
-    // workload makes nearly every wake an epoch boundary.
-    const auto job = idlePoint(11);
-    const auto serial = sim::SweepRunner::runJob(job, false).result;
-    ASSERT_TRUE(serial.completed);
-    for (int threads : {2, 4}) {
-        auto threaded_job = job;
-        threaded_job.config.threads = threads;
-        const auto threaded =
-            sim::SweepRunner::runJob(threaded_job, false).result;
-        expectSameRun(serial, threaded);
-    }
-}
-
 TEST(Scheduler, SnapshotRoundTripWithPendingCalendar)
 {
     // The calendar is rebuilt from component state on restore, never
     // serialized. Checkpoint mid-run — cores parked in long compute
-    // bursts, so every shard's calendar holds pending wakes — and the
-    // resumed run must still match the uninterrupted one at any
-    // writer/reader thread-count combination.
+    // bursts, so the calendar holds pending wakes — and the resumed run
+    // must still match the uninterrupted one.
     const auto job = idlePoint(11);
     const auto full = sim::SweepRunner::runJob(job, false).result;
     ASSERT_TRUE(full.completed);
-    for (int save_threads : {1, 4}) {
-        auto save_job = job;
-        save_job.config.max_cycles = 1500;
-        save_job.config.threads = save_threads;
-        sim::System saver(save_job.config);
-        saver.loadApp(save_job.app.scaled(save_job.scale));
-        ASSERT_FALSE(saver.run().completed)
-            << "checkpoint cycle must fall inside the run";
-        const std::string path = testing::TempDir()
-            + "fsoi_sched_t" + std::to_string(save_threads) + ".ckpt";
-        saver.saveCheckpoint(path);
-        for (int load_threads : {1, 4}) {
-            auto load_job = job;
-            load_job.config.threads = load_threads;
-            sim::System sys(load_job.config);
-            sys.loadApp(load_job.app.scaled(load_job.scale));
-            sys.restoreCheckpoint(path);
-            expectSameRun(full, sys.run());
-        }
-        std::filesystem::remove(path);
-    }
+    auto save_job = job;
+    save_job.config.max_cycles = 1500;
+    sim::System saver(save_job.config);
+    saver.loadApp(save_job.app.scaled(save_job.scale));
+    ASSERT_FALSE(saver.run().completed)
+        << "checkpoint cycle must fall inside the run";
+    const std::string path = testing::TempDir() + "fsoi_sched.ckpt";
+    saver.saveCheckpoint(path);
+    sim::System sys(job.config);
+    sys.loadApp(job.app.scaled(job.scale));
+    sys.restoreCheckpoint(path);
+    expectSameRun(full, sys.run());
+    std::filesystem::remove(path);
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
  * Checkpoint/restore guarantees: a restored run is bit-identical to
- * the uninterrupted run at any tick-engine thread count (including
- * faulted configs), snapshot files are byte-identical regardless of
- * the thread count that wrote them, corrupted, truncated or forged
- * snapshots are rejected with a named-section diagnosis, the container
+ * the uninterrupted run (including faulted configs), a periodic
+ * checkpoint is byte-identical to a direct save at the same cycle,
+ * corrupted, truncated or forged snapshots (forged element counts
+ * included) are rejected with a named-section diagnosis, the container
  * bytes (little-endian scalars, lockstep-hashed sections) match a
  * hand-assembled scalar reference, and the campaign layer resumes
  * crashed sweeps without changing a single output byte.
@@ -25,6 +25,7 @@
 #include "sim/campaign.hh"
 #include "sim/sweep_runner.hh"
 #include "snapshot/archive.hh"
+#include "snapshot/state_io.hh"
 #include "workload/apps.hh"
 
 namespace fsoi {
@@ -64,11 +65,9 @@ bytesOf(const snapshot::Writer &w)
 
 /** Checkpoint @p job at @p at cycles (run a horizon-limited copy). */
 void
-checkpointAt(sim::SweepJob job, Cycle at, int threads,
-             const std::string &path)
+checkpointAt(sim::SweepJob job, Cycle at, const std::string &path)
 {
     job.config.max_cycles = at;
-    job.config.threads = threads;
     sim::System sys(job.config);
     sys.loadApp(job.app.scaled(job.scale));
     const auto r = sys.run();
@@ -78,9 +77,8 @@ checkpointAt(sim::SweepJob job, Cycle at, int threads,
 }
 
 sim::RunResult
-resumeFrom(const std::string &path, sim::SweepJob job, int threads)
+resumeFrom(const std::string &path, const sim::SweepJob &job)
 {
-    job.config.threads = threads;
     sim::System sys(job.config);
     sys.loadApp(job.app.scaled(job.scale));
     sys.restoreCheckpoint(path);
@@ -205,22 +203,15 @@ TEST(Snapshot, FsoiMidCollisionRestoreKeepsWakeAndIdle)
 
 TEST(Snapshot, RestoredRunBitIdenticalAcrossThreads)
 {
-    // Checkpoint under every writer thread count, resume under every
-    // reader thread count: all four combinations must reproduce the
-    // uninterrupted run exactly.
+    // A run checkpointed mid-flight and resumed in a fresh System must
+    // reproduce the uninterrupted run exactly.
     const auto job = point(sim::NetKind::Fsoi, "fft", 3);
     const auto full = sim::SweepRunner::runJob(job, false).result;
     ASSERT_TRUE(full.completed);
-    for (int save_threads : {1, 4}) {
-        const std::string path =
-            tmpPath("rt_t" + std::to_string(save_threads) + ".ckpt");
-        checkpointAt(job, 4000, save_threads, path);
-        for (int load_threads : {1, 4}) {
-            const auto resumed = resumeFrom(path, job, load_threads);
-            expectIdentical(full, resumed);
-        }
-        std::filesystem::remove(path);
-    }
+    const std::string path = tmpPath("rt.ckpt");
+    checkpointAt(job, 4000, path);
+    expectIdentical(full, resumeFrom(path, job));
+    std::filesystem::remove(path);
 }
 
 TEST(Snapshot, RestoredFaultedRunBitIdentical)
@@ -233,11 +224,8 @@ TEST(Snapshot, RestoredFaultedRunBitIdentical)
     ASSERT_TRUE(full.completed);
     EXPECT_GT(full.fault_bit_errors, 0u);
     const std::string path = tmpPath("fault.ckpt");
-    checkpointAt(job, 4000, 1, path);
-    for (int load_threads : {1, 4}) {
-        const auto resumed = resumeFrom(path, job, load_threads);
-        expectIdentical(full, resumed);
-    }
+    checkpointAt(job, 4000, path);
+    expectIdentical(full, resumeFrom(path, job));
     std::filesystem::remove(path);
 
     // Mesh with dead links exercises the reroute/retx machinery.
@@ -246,24 +234,9 @@ TEST(Snapshot, RestoredFaultedRunBitIdentical)
     const auto mesh_full = sim::SweepRunner::runJob(mesh, false).result;
     ASSERT_TRUE(mesh_full.completed);
     const std::string mpath = tmpPath("fault_mesh.ckpt");
-    checkpointAt(mesh, 4000, 1, mpath);
-    expectIdentical(mesh_full, resumeFrom(mpath, mesh, 1));
+    checkpointAt(mesh, 4000, mpath);
+    expectIdentical(mesh_full, resumeFrom(mpath, mesh));
     std::filesystem::remove(mpath);
-}
-
-TEST(Snapshot, CheckpointBytesIndependentOfThreadCount)
-{
-    // The snapshot is a canonical encoding of simulator state, so the
-    // file a 4-thread run writes is byte-for-byte the file the serial
-    // run writes at the same cycle.
-    const auto job = point(sim::NetKind::Fsoi, "fft", 3);
-    const std::string p1 = tmpPath("bytes_t1.ckpt");
-    const std::string p4 = tmpPath("bytes_t4.ckpt");
-    checkpointAt(job, 4000, 1, p1);
-    checkpointAt(job, 4000, 4, p4);
-    EXPECT_EQ(readBytes(p1), readBytes(p4));
-    std::filesystem::remove(p1);
-    std::filesystem::remove(p4);
 }
 
 TEST(Snapshot, PeriodicCheckpointMatchesDirectSave)
@@ -272,7 +245,7 @@ TEST(Snapshot, PeriodicCheckpointMatchesDirectSave)
     // top-of-cycle state as an explicit horizon-limited save.
     const auto job = point(sim::NetKind::Fsoi, "fft", 3);
     const std::string direct = tmpPath("direct.ckpt");
-    checkpointAt(job, 4000, 1, direct);
+    checkpointAt(job, 4000, direct);
 
     auto periodic_job = job;
     periodic_job.config.max_cycles = 4001;
@@ -290,7 +263,7 @@ TEST(Snapshot, TruncatedFileNamesTheSection)
 {
     const auto job = point(sim::NetKind::Fsoi, "fft", 3);
     const std::string path = tmpPath("trunc.ckpt");
-    checkpointAt(job, 4000, 1, path);
+    checkpointAt(job, 4000, path);
     const auto bytes = readBytes(path);
     std::filesystem::remove(path);
     ASSERT_GT(bytes.size(), 1000u);
@@ -319,7 +292,7 @@ TEST(Snapshot, BitFlipNamesTheSection)
 {
     const auto job = point(sim::NetKind::Fsoi, "fft", 3);
     const std::string path = tmpPath("flip.ckpt");
-    checkpointAt(job, 4000, 1, path);
+    checkpointAt(job, 4000, path);
     const auto bytes = readBytes(path);
     std::filesystem::remove(path);
 
@@ -360,10 +333,9 @@ TEST(Snapshot, ConfigMismatchRejected)
 {
     const auto job = point(sim::NetKind::Fsoi, "fft", 3);
     const std::string path = tmpPath("mismatch.ckpt");
-    checkpointAt(job, 4000, 1, path);
+    checkpointAt(job, 4000, path);
 
-    auto other = point(sim::NetKind::Fsoi, "fft", 4); // different seed
-    other.config.threads = 1;
+    const auto other = point(sim::NetKind::Fsoi, "fft", 4); // new seed
     sim::System sys(other.config);
     sys.loadApp(other.app.scaled(other.scale));
     try {
@@ -600,9 +572,9 @@ TEST(Snapshot, SeededByteMutantsAreRejectedByName)
     const auto full = sim::SweepRunner::runJob(job, false).result;
     ASSERT_TRUE(full.completed);
     const std::string path = tmpPath("mutants.ckpt");
-    checkpointAt(job, 4000, 1, path);
+    checkpointAt(job, 4000, path);
     const auto bytes = readBytes(path);
-    expectIdentical(full, resumeFrom(path, job, 1));
+    expectIdentical(full, resumeFrom(path, job));
     std::filesystem::remove(path);
 
     const snapshot::SnapshotReader intact{std::vector<std::uint8_t>(bytes)};
@@ -660,6 +632,58 @@ TEST(Snapshot, SeededByteMutantsAreRejectedByName)
         EXPECT_EQ(parseError(headless), "snapshot.truncated: " + secs[i].name);
     }
     EXPECT_EQ(parseError(bytes), "");
+}
+
+/** The diagnosis @p fn throws, or "" when it returns. */
+std::string
+thrownBy(const std::function<void()> &fn)
+{
+    try {
+        fn();
+    } catch (const snapshot::SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Snapshot, ForgedCountIsRejectedByName)
+{
+    // The hashes do not authenticate a file: anyone who recomputes them
+    // can write any element count. A count that cannot fit in the
+    // bytes left must be refused by name before a container is sized
+    // from it.
+    snapshot::Writer w;
+    w.u64(std::uint64_t{1} << 60);
+    snapshot::Reader pool(w.data(), w.size(), "pool");
+    EXPECT_EQ(thrownBy([&] { (void)snapshot::loadU64Vec(pool); }),
+              "snapshot.underrun: pool");
+
+    // A real 16-core checkpoint whose `memory` count is rewritten and
+    // re-wrapped, so every section hash and the root hash are valid.
+    const auto job = point(sim::NetKind::Fsoi, "fft", 3);
+    const std::string path = tmpPath("forged.ckpt");
+    checkpointAt(job, 4000, path);
+    const auto bytes = readBytes(path);
+    std::filesystem::remove(path);
+    const snapshot::SnapshotReader intact{std::vector<std::uint8_t>(bytes)};
+    snapshot::SnapshotWriter forged;
+    bool found = false;
+    for (const auto &sec : intact.sections()) {
+        const std::uint8_t *at = bytes.data() + sec.offset;
+        std::vector<std::uint8_t> payload(at, at + sec.size);
+        if (sec.name == "memory") {
+            ASSERT_GE(payload.size(), 8u);
+            storeLe64(payload, 0, std::uint64_t{1} << 60);
+            found = true;
+        }
+        forged.section(sec.name).raw(payload.data(), payload.size());
+    }
+    ASSERT_TRUE(found);
+    const snapshot::SnapshotReader snap(forged.serialize());
+    sim::System sys(job.config);
+    sys.loadApp(job.app.scaled(job.scale));
+    EXPECT_EQ(thrownBy([&] { sys.restoreSnapshot(snap); }),
+              "snapshot.underrun: memory");
 }
 
 // --- campaign layer -------------------------------------------------

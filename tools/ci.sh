@@ -71,39 +71,43 @@ diff -u "$repo/tools/golden_snapshot_16core.manifest" \
 echo "== crash-resume gate =="
 # Kill a sweep campaign mid-flight with SIGKILL, resume it with the
 # same command line, and require the consolidated JSON report to be
-# byte-identical to an uninterrupted run's -- at tick-engine threads 1
-# and 4. The kill lands after the first point's done record hits the
-# journal, so the resume exercises both journal replay (finished
-# points) and checkpoint restore (the in-flight point). If the
-# campaign finishes before the kill lands, the resume degenerates to
-# pure journal replay, which must still reproduce the report exactly.
-for t in 1 4; do
-    camp_args="--points=4 --app=fft --scale=0.3 --threads=$t \
+# byte-identical to an uninterrupted run's -- at --jobs=1 (points run
+# one after another) and --jobs=4 (points run concurrently on the
+# sweep pool, sharing the journal). The kill lands after the first
+# point's done record hits the journal, so the resume exercises both
+# journal replay (finished points) and checkpoint restore (the
+# in-flight points). Four points per job keep points in flight when
+# the first one finishes: at --jobs=4 a first wave of four equal
+# points would finish together. If the campaign finishes before the
+# kill lands, the resume degenerates to pure journal replay, which
+# must still reproduce the report exactly.
+for j in 1 4; do
+    camp_args="--points=$((4 * j)) --app=fft --scale=0.3 --jobs=$j \
         --checkpoint-every=10000 --seed=42"
-    rm -rf "$build/ci_camp_full_t$t" "$build/ci_camp_kill_t$t"
+    rm -rf "$build/ci_camp_full_j$j" "$build/ci_camp_kill_j$j"
     # shellcheck disable=SC2086
-    "$build/tools/sweep_campaign" --dir="$build/ci_camp_full_t$t" \
-        $camp_args --json="$build/ci_camp_full_t$t.json" 2> /dev/null
+    "$build/tools/sweep_campaign" --dir="$build/ci_camp_full_j$j" \
+        $camp_args --json="$build/ci_camp_full_j$j.json" 2> /dev/null
     # shellcheck disable=SC2086
-    "$build/tools/sweep_campaign" --dir="$build/ci_camp_kill_t$t" \
-        $camp_args --json="$build/ci_camp_kill_t$t.json" \
+    "$build/tools/sweep_campaign" --dir="$build/ci_camp_kill_j$j" \
+        $camp_args --json="$build/ci_camp_kill_j$j.json" \
         2> /dev/null &
     camp_pid=$!
     while kill -0 "$camp_pid" 2> /dev/null; do
         if grep -q '"event":"done"' \
-            "$build/ci_camp_kill_t$t/campaign.jsonl" 2> /dev/null; then
+            "$build/ci_camp_kill_j$j/campaign.jsonl" 2> /dev/null; then
             kill -9 "$camp_pid" 2> /dev/null || true
             break
         fi
         sleep 0.05
     done
     wait "$camp_pid" 2> /dev/null || true
-    rm -f "$build/ci_camp_kill_t$t.json"
+    rm -f "$build/ci_camp_kill_j$j.json"
     # shellcheck disable=SC2086
-    "$build/tools/sweep_campaign" --dir="$build/ci_camp_kill_t$t" \
-        $camp_args --json="$build/ci_camp_kill_t$t.json" 2> /dev/null
-    cmp "$build/ci_camp_full_t$t.json" "$build/ci_camp_kill_t$t.json"
-    echo "  threads=$t: resumed report byte-identical"
+    "$build/tools/sweep_campaign" --dir="$build/ci_camp_kill_j$j" \
+        $camp_args --json="$build/ci_camp_kill_j$j.json" 2> /dev/null
+    cmp "$build/ci_camp_full_j$j.json" "$build/ci_camp_kill_j$j.json"
+    echo "  jobs=$j: resumed report byte-identical"
 done
 
 echo "== telemetry overhead gate =="
@@ -131,20 +135,20 @@ cmake -B "$sanbuild" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$sanbuild" -j "$(nproc 2>/dev/null || echo 2)"
 ctest --test-dir "$sanbuild" --output-on-failure
 
-echo "== sanitizer leg (TSan, threaded tick engine) =="
-# The determinism and scheduler suites again under ThreadSanitizer,
-# which exercises the intra-run parallel tick engine (shard workers,
-# staged-send merge, wake bitmaps) at threads={2,4} x jobs={1,4} and
-# the per-shard event calendar at threads=4 (cross-shard wakes on
-# epoch boundaries, calendar rebuild on snapshot restore). Scoped to
-# those suites: TSan slows runs ~10x and the threading surface is
-# exactly what these tests drive.
+echo "== sanitizer leg (TSan, sweep pool) =="
+# The determinism and campaign suites again under ThreadSanitizer.
+# Each System runs on one thread; the concurrency left is across
+# Systems: the SweepRunner pool at jobs=4/8, the CampaignRunner
+# journal written from pool workers, and the process-wide Tracer and
+# crash registry every System touches. Scoped to those suites: TSan
+# slows runs ~10x and the shared surface is exactly what these tests
+# drive.
 tsanbuild="$build-tsan"
 cmake -B "$tsanbuild" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFSOI_SANITIZE=thread
 cmake --build "$tsanbuild" -j "$(nproc 2>/dev/null || echo 2)" \
-    --target test_determinism test_scheduler
-ctest --test-dir "$tsanbuild" -R "Determinism|Scheduler|Calendar" \
+    --target test_determinism test_snapshot
+ctest --test-dir "$tsanbuild" -R "Determinism|Campaign" \
     --output-on-failure
 
 echo "== perf gate =="
